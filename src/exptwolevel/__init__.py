@@ -28,13 +28,10 @@ from .spectrum import (
     eigenvalues_closed_form,
     eigenvalues_direct,
     energy_decomposition,
-    energy_map,
 )
 from .rabi import (
-    InterferogramGrid,
     RabiParams,
     RabiSurvival,
-    interferogram,
     rabi_limit_convergence,
     rabi_survival_closed_form,
     rabi_survival_oracle,

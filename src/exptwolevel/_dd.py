@@ -70,13 +70,8 @@ def dd_div(x, y):
     return dd_add((s, e), (q3, 0.0))
 
 
-def dd_abs_lt(x, y):
-    return abs(x[0]) < abs(y[0])
-
-
 # complex double-double ------------------------------------------------------
 
-CDD_ZERO = ((0.0, 0.0), (0.0, 0.0))
 CDD_ONE = ((1.0, 0.0), (0.0, 0.0))
 
 

@@ -66,9 +66,6 @@ class BasisSolutions:
     v2: complex
     x: float
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.u2, self.v2], [self.u1, self.v1]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class PropagatorMatrix:
@@ -163,23 +160,7 @@ def transition_parameter_omega12(d: DerivedParams, x: float) -> complex:
 
 def amplitudes(p: ModelParams, init: AmplitudePair, t: float) -> AmplitudePair:
     """Propagate the state from init.t to t using the closed-form solution."""
-    d = derived_params(p)
-    if d.c == 0:
-        ph = gauge_factor(p, init.t, t)
-        return AmplitudePair(c1=init.c1 / ph, c2=init.c2 * ph, t=t)
-    b0 = basis_solutions(d, x_of_t(p, init.t))
-    bt = basis_solutions(d, x_of_t(p, t))
-    det = b0.u2 * b0.v1 - b0.v2 * b0.u1
-    if det == 0 or not cmath.isfinite(det):
-        raise DegeneracyError(f"fundamental basis degenerate at t0 = {init.t}")
-    a_plus = (b0.v1 * init.c1 - b0.v2 * init.c2) / det
-    a_minus = (-b0.u1 * init.c1 + b0.u2 * init.c2) / det
-    ph = gauge_factor(p, init.t, t)
-    return AmplitudePair(
-        c1=ph * (bt.u2 * a_plus + bt.v2 * a_minus),
-        c2=ph * (bt.u1 * a_plus + bt.v1 * a_minus),
-        t=t,
-    )
+    return propagator(p, init.t, t).apply(init)
 
 
 def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:

@@ -202,13 +202,15 @@ def integrate_tdse_batch(
     t0: float,
     t1: float,
     cfg: IntegratorConfig = IntegratorConfig(),
+    t_eval=None,
 ) -> np.ndarray:
     """Integrate many parameter points at once over a common window.
 
     ``init`` is broadcast to shape (n_points, 2).  All points share the
     adaptive step (error-controlled by the worst point), which keeps a full
     sweep's oracle run at roughly the cost of a single trajectory.
-    Returns the final amplitudes, shape (n_points, 2).
+    Returns the final amplitudes, shape (n_points, 2), or with ``t_eval``
+    the amplitudes at those times, shape (len(t_eval), n_points, 2).
     """
     n = len(params)
     A = np.array([q.A for q in params])
@@ -226,8 +228,11 @@ def integrate_tdse_batch(
 
     y0 = np.broadcast_to(np.asarray(init, dtype=complex), (n, 2)).copy()
     max_step = min(cfg.max_step, float(0.1 / np.max(np.abs(alpha))))
-    y, _, _, _ = _dp45(f, t0, t1, y0, cfg.rel_tol, cfg.abs_tol, max_step, cfg.max_steps)
-    return y
+    teval = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    y, samples, _, _ = _dp45(
+        f, t0, t1, y0, cfg.rel_tol, cfg.abs_tol, max_step, cfg.max_steps, t_eval=teval
+    )
+    return y if samples is None else samples
 
 
 def constant_h_propagator(H, dt: float) -> np.ndarray:

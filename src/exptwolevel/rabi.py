@@ -13,10 +13,10 @@ Rev. 51, 652 (1937)) with coupling d and detuning eps,
 evaluated literally over the complex numbers (principal square root): its
 modulus is |U21|^2 at every Delta, and at Delta = 0 it is real and equals
 |U21|^2.  Alongside it are an independent matrix-exponential oracle for the
-same constant Hamiltonian, a convergence check quantifying how fast the
-exponential model approaches this limit, and the 2-D interferogram grid over
-(t, epsilon).  The closed form and the oracle are kept as separate routes so
-that each checks the other.
+same constant Hamiltonian and a convergence check quantifying how fast the
+exponential model approaches this limit.  The closed form and the oracle are
+kept as separate routes so that each checks the other; the 2-D interferogram
+over (t, epsilon) is an `interferogram` sweep (see `sweep`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .model import AxisSpec, ModelParams
+from .model import ModelParams
 from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse
 from .analytic import AmplitudePair, PopulationRecord
 
@@ -48,24 +48,6 @@ class RabiSurvival:
     value: complex
     real_part: float
     modulus: float
-
-
-@dataclass(frozen=True)
-class InterferogramGrid:
-    """Rabi-limit populations over a (t, epsilon) grid at fixed Delta.
-
-    Row-major: entry [i][j] belongs to (t_axis[i], eps_axis[j]).  Three
-    layers are stored: the closed-form 1 -> 2 transfer probability's real
-    part and modulus (the two reporting conventions), and the
-    matrix-exponential oracle's modulus-squared survival |U11|^2.
-    """
-
-    t_axis: AxisSpec
-    eps_axis: AxisSpec
-    Delta: float
-    p_real: list
-    p_modulus: list
-    p_mod2_oracle: list
 
 
 def _rabi_hamiltonian(epsilon: float, Delta: float) -> np.ndarray:
@@ -159,30 +141,3 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float, n_samples: int = 33) 
         )
     return float(dev)
 
-
-def interferogram(r_template: RabiParams, t_axis: AxisSpec, eps_axis: AxisSpec) -> InterferogramGrid:
-    """Transfer (closed form) and survival (oracle) grids over (t, epsilon) at
-    Delta fixed by the template."""
-    if t_axis.name != "t" or eps_axis.name != "epsilon":
-        raise DomainError("interferogram axes must be named 't' and 'epsilon'")
-    Delta = r_template.Delta
-    p_real, p_mod, p_orc = [], [], []
-    for t in t_axis.values():
-        row_r, row_m, row_o = [], [], []
-        for eps in eps_axis.values():
-            r = RabiParams(epsilon=eps, Delta=Delta, t=t)
-            cf = rabi_survival_closed_form(r)
-            row_r.append(cf.real_part)
-            row_m.append(cf.modulus)
-            row_o.append(rabi_survival_oracle(r).p22_mod2)
-        p_real.append(row_r)
-        p_mod.append(row_m)
-        p_orc.append(row_o)
-    return InterferogramGrid(
-        t_axis=t_axis,
-        eps_axis=eps_axis,
-        Delta=Delta,
-        p_real=p_real,
-        p_modulus=p_mod,
-        p_mod2_oracle=p_orc,
-    )

@@ -168,16 +168,6 @@ def _tricomi_asymptotic_raw(a, b, z, cfg: SwitchingConfig):
     return cmath.exp(-a * cmath.log(z)) * s, err
 
 
-def _tricomi_asymptotic(a, b, z, cfg: SwitchingConfig) -> complex:
-    val, err = _tricomi_asymptotic_raw(a, b, z, cfg)
-    if err > cfg.accuracy_target:
-        raise AccuracyError(
-            f"asymptotic expansion of U(a={a}, b={b}, z={z}) reached residual {err:.2e}",
-            residual=err,
-        )
-    return val
-
-
 # public operations ----------------------------------------------------------
 
 

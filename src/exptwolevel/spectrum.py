@@ -10,17 +10,18 @@ which downstream tests pin numerically.
 The real/imaginary decomposition writes 2E = |Z|^(1/2) exp(i*phi) with
 Z = (2 Omega)^2 + epsilon^2 - Delta^2 + 2 i epsilon Delta and
 phi = arg(Z)/2 computed with the two-argument arctangent, so the split
-stays well-defined when the real part of Z crosses zero.
+stays well-defined when the real part of Z crosses zero.  The 2-D energy
+maps of the paper are `spectrum` sweeps (see `sweep`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import AxisSpec, ModelParams, coupling, detuning
+from .model import ModelParams, coupling, detuning
 
 
 @dataclass(frozen=True)
@@ -79,29 +80,3 @@ def energy_decomposition(p: ModelParams, t: float) -> EnergyDecomposition:
         z_mag=z_mag,
     )
 
-
-_SWEEPABLE = ("Delta", "epsilon", "beta", "t")
-
-
-def energy_map(p: ModelParams, axis1: AxisSpec, axis2: AxisSpec) -> list[EnergyDecomposition]:
-    """Energy decomposition over a 2-D grid, row-major in (axis1, axis2).
-
-    Axis names may be Delta, epsilon, beta, or t; unswept values come from
-    ``p`` (with p.t1 as the evaluation time when t is not an axis).
-    """
-    for ax in (axis1, axis2):
-        if ax.name not in _SWEEPABLE:
-            raise DomainError(f"unsupported axis {ax.name!r}; choose from {_SWEEPABLE}")
-    if axis1.name == axis2.name:
-        raise DomainError("the two axes must sweep different parameters")
-    out = []
-    for v1 in axis1.values():
-        for v2 in axis2.values():
-            q, t = p, p.t1
-            for name, val in ((axis1.name, v1), (axis2.name, v2)):
-                if name == "t":
-                    t = val
-                else:
-                    q = replace(q, **{name: val})
-            out.append(energy_decomposition(q, t))
-    return out

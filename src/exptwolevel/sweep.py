@@ -2,14 +2,16 @@
 
 A sweep evaluates one quantity (populations, amplitudes, spectrum, rabi, or
 interferogram) over a 1-D or 2-D uniform grid of model parameters, optionally
-alongside the independent ODE oracle, and serializes the result as CSV or
-JSON with a full provenance header.
+alongside an independent oracle, and serializes the result as CSV or JSON
+with a full provenance header.
 
-Grid points are evaluated by a bounded thread pool (size from the
-EXPTWOLEVEL_WORKERS environment variable, default: core count); rows are
-collected in grid order, so output is deterministic and independent of
-scheduling.  The oracle runs outside the pool as one batched integration per
-common time window, which keeps it both fast and bitwise reproducible.
+Every quantity is one entry of a table: the axes it may sweep, its value
+columns, and the function that evaluates one grid point.  Points run
+serially in grid order.  For populations and amplitudes the DP45 oracle runs
+once per sweep, as one batch over every point sampled at each point's end
+time, so datasets are bitwise reproducible.  The 2-D energy maps of the
+paper are `spectrum` sweeps and its Rabi interferogram is an
+`interferogram` sweep over (t, epsilon).
 
 Per-point numerical failures do not abort the sweep: the row is emitted with
 NaN values and a nonzero error code (1 = domain, 2 = degenerate basis,
@@ -18,15 +20,10 @@ NaN values and a nonzero error code (1 = domain, 2 = degenerate basis,
 
 from __future__ import annotations
 
-import datetime
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import Callable
 
 from . import __version__
 from .analytic import AmplitudePair, amplitudes, populations
@@ -38,18 +35,15 @@ from .errors import (
     ExponentOverflowError,
 )
 from .model import AxisSpec, ModelParams
-from .oracle import IntegratorConfig, integrate_tdse, integrate_tdse_batch
-from .rabi import RabiParams, interferogram, rabi_survival_closed_form, rabi_survival_oracle
+from .oracle import IntegratorConfig, integrate_tdse_batch
+from .rabi import RabiParams, rabi_survival_closed_form, rabi_survival_oracle
 from .spectrum import energy_decomposition
 from .specfun import SWITCHING
 
-QUANTITIES = ("populations", "amplitudes", "spectrum", "rabi", "interferogram")
 CONVENTIONS = ("mod2", "paper")
 FORMATS = ("csv", "json")
 _MODEL_AXES = ("A", "alpha", "beta", "epsilon", "Delta", "t")
 _RABI_AXES = ("epsilon", "Delta", "t")
-
-WORKERS_ENV = "EXPTWOLEVEL_WORKERS"
 
 _ORACLE_CFG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -66,23 +60,22 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
-            raise ConfigError(f"unknown quantity {self.quantity!r}; choose from {QUANTITIES}")
+            raise ConfigError(f"unknown quantity {self.quantity!r}; choose from {tuple(QUANTITIES)}")
         if self.convention not in CONVENTIONS:
             raise ConfigError(f"unknown convention {self.convention!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("sweeps take one or two axes")
-        allowed = _RABI_AXES if self.quantity in ("rabi", "interferogram") else _MODEL_AXES
-        names = [ax.name for ax in self.axes]
+        spec = QUANTITIES[self.quantity]
+        names = tuple(ax.name for ax in self.axes)
         if len(set(names)) != len(names):
             raise ConfigError("swept axis names must be distinct")
         for n in names:
-            if n not in allowed:
-                raise ConfigError(f"axis {n!r} not sweepable for {self.quantity}; choose from {allowed}")
-        if self.quantity == "interferogram":
-            if len(self.axes) != 2 or names[0] != "t" or names[1] != "epsilon":
-                raise ConfigError("interferogram needs axes t (first) and epsilon (second)")
+            if n not in spec.axes:
+                raise ConfigError(f"axis {n!r} not sweepable for {self.quantity}; choose from {spec.axes}")
+        if spec.exact_axes and names != spec.axes:
+            raise ConfigError(f"{self.quantity} needs axes {spec.axes}, in that order")
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,185 +150,147 @@ def _apply_point(base: ModelParams, pt: dict):
     return q, float(t_end)
 
 
-def _workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 def _oracle_finals(base: ModelParams, pts: list) -> list:
-    """Final (c1, c2) from the ODE oracle for each grid point, or None on error.
+    """Final (c1, c2) from the ODE oracle for each grid point, or None where
+    the point itself is invalid.
 
-    Points sharing a common end time are integrated as one batch; points that
-    differ only in end time share a single sampled trajectory.  Always runs
-    serially (outside the worker pool) so datasets are scheduling-independent.
+    Every valid point goes into one batch over the common window, sampled at
+    each distinct end time, so a t-axis sweep costs one batched run too.
     """
-    resolved = [None] * len(pts)
-    ok, params, t_ends = [], [], []
+    valid = []
     for i, pt in enumerate(pts):
         try:
-            q, t_end = _apply_point(base, pt)
-        except Exception:
+            valid.append((i, *_apply_point(base, pt)))
+        except DomainError:  # the row is flagged when the point is evaluated
             continue
-        ok.append(i)
-        params.append(q)
-        t_ends.append(t_end)
-    if not ok:
-        return resolved
-    if len(set(t_ends)) == 1:
-        finals = integrate_tdse_batch(params, (0.0, 1.0), base.t0, t_ends[0], _ORACLE_CFG)
-        for i, row in zip(ok, finals):
-            resolved[i] = (complex(row[0]), complex(row[1]))
-        return resolved
-    # group points by everything except the end time and sample one trajectory
-    groups = {}
-    for idx, q, t_end in zip(ok, params, t_ends):
-        key = (q.A, q.alpha, q.beta, q.epsilon, q.Delta)
-        groups.setdefault(key, []).append((idx, q, t_end))
-    for members in groups.values():
-        t_max = max(m[2] for m in members)
-        q0 = replace(members[0][1], t1=t_max)
-        res = integrate_tdse(
-            q0,
-            AmplitudePair(0.0, 1.0, base.t0),
-            _ORACLE_CFG,
-            t_eval=[m[2] for m in members],
-        )
-        for (idx, _, _), samp in zip(members, res.samples):
-            resolved[idx] = (complex(samp[0]), complex(samp[1]))
-    return resolved
+    finals = [None] * len(pts)
+    if not valid:
+        return finals
+    times = sorted({t_end for _, _, t_end in valid})
+    slot = {t_end: k for k, t_end in enumerate(times)}
+    samples = integrate_tdse_batch(
+        [q for _, q, _ in valid], (0.0, 1.0), base.t0, times[-1], _ORACLE_CFG, t_eval=times
+    )
+    for row, (i, _, t_end) in enumerate(valid):
+        c1, c2 = samples[slot[t_end], row]
+        finals[i] = (complex(c1), complex(c2))
+    return finals
 
 
-def _populations_columns(cfg):
-    cols = ["p12_paper", "p22_paper", "p12_mod2", "p22_mod2", "norm"]
+def _rabi_params(cfg: SweepConfig, pt: dict) -> RabiParams:
+    return RabiParams(
+        epsilon=pt.get("epsilon", cfg.base.epsilon),
+        Delta=pt.get("Delta", cfg.base.Delta),
+        t=pt.get("t", cfg.base.t1),
+    )
+
+
+def _populations_point(cfg, pt, final):
+    q, t_end = _apply_point(cfg.base, pt)
+    rec = populations(q, q.t0, t_end)
+    vals = [rec.p12_paper, rec.p22_paper, rec.p12_mod2, rec.p22_mod2, rec.norm]
     if cfg.oracle:
-        cols += ["oracle_p12_mod2", "oracle_p22_mod2", "deviation"]
-    return cols
+        o12, o22 = abs(final[0]) ** 2, abs(final[1]) ** 2
+        vals += [o12, o22, max(abs(rec.p12_mod2 - o12), abs(rec.p22_mod2 - o22))]
+    return vals
 
 
-def _amplitudes_columns(cfg):
-    cols = ["re_c1", "im_c1", "re_c2", "im_c2", "norm"]
+def _amplitudes_point(cfg, pt, final):
+    q, t_end = _apply_point(cfg.base, pt)
+    a = amplitudes(q, AmplitudePair(0.0, 1.0, q.t0), t_end)
+    vals = [a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm]
     if cfg.oracle:
-        cols += ["oracle_re_c1", "oracle_im_c1", "oracle_re_c2", "oracle_im_c2", "deviation"]
-    return cols
+        o1, o2 = final
+        vals += [o1.real, o1.imag, o2.real, o2.imag, max(abs(a.c1 - o1), abs(a.c2 - o2))]
+    return vals
+
+
+def _spectrum_point(cfg, pt, final):
+    q, t_end = _apply_point(cfg.base, pt)
+    d = energy_decomposition(q, t_end)
+    return [d.re_plus, d.im_plus, d.re_minus, d.im_minus, d.phi, d.z_mag]
+
+
+def _rabi_point(cfg, pt, final):
+    r = _rabi_params(cfg, pt)
+    cf = rabi_survival_closed_form(r)
+    vals = [cf.real_part, cf.modulus]
+    if cfg.oracle:
+        orc = rabi_survival_oracle(r)
+        ref = cf.modulus if cfg.convention == "mod2" else cf.real_part
+        vals += [orc.p22_mod2, orc.p12_mod2, abs(ref - orc.p12_mod2)]
+    return vals
+
+
+def _interferogram_point(cfg, pt, final):
+    # closed-form transfer (both conventions) and the oracle's survival
+    r = _rabi_params(cfg, pt)
+    cf = rabi_survival_closed_form(r)
+    return [cf.real_part, cf.modulus, rabi_survival_oracle(r).p22_mod2]
+
+
+@dataclass(frozen=True)
+class _Quantity:
+    axes: tuple  # names a sweep may vary
+    columns: tuple  # value columns
+    oracle_columns: tuple  # appended when the config asks for the oracle
+    point: Callable  # (cfg, grid point, DP45 final or None) -> values
+    dp45: bool = False  # the oracle columns need the batched DP45 finals
+    exact_axes: bool = False  # the sweep must vary exactly `axes`, in order
+
+
+QUANTITIES = {
+    "populations": _Quantity(
+        _MODEL_AXES,
+        ("p12_paper", "p22_paper", "p12_mod2", "p22_mod2", "norm"),
+        ("oracle_p12_mod2", "oracle_p22_mod2", "deviation"),
+        _populations_point,
+        dp45=True,
+    ),
+    "amplitudes": _Quantity(
+        _MODEL_AXES,
+        ("re_c1", "im_c1", "re_c2", "im_c2", "norm"),
+        ("oracle_re_c1", "oracle_im_c1", "oracle_re_c2", "oracle_im_c2", "deviation"),
+        _amplitudes_point,
+        dp45=True,
+    ),
+    "spectrum": _Quantity(
+        _MODEL_AXES,
+        ("re_e_plus", "im_e_plus", "re_e_minus", "im_e_minus", "phi", "z_mag"),
+        (),
+        _spectrum_point,
+    ),
+    "rabi": _Quantity(
+        _RABI_AXES,
+        ("p_real", "p_modulus"),
+        ("oracle_p22_mod2", "oracle_p12_mod2", "deviation"),
+        _rabi_point,
+    ),
+    "interferogram": _Quantity(
+        ("t", "epsilon"),
+        ("p_real", "p_modulus", "p_mod2_oracle"),
+        (),
+        _interferogram_point,
+        exact_axes=True,
+    ),
+}
 
 
 def run_sweep(cfg: SweepConfig) -> Dataset:
+    quantity = QUANTITIES[cfg.quantity]
+    names = [ax.name for ax in cfg.axes]
+    values = list(quantity.columns) + list(quantity.oracle_columns if cfg.oracle else ())
     pts = _grid_points(cfg)
-    axis_names = [ax.name for ax in cfg.axes]
+    finals = _oracle_finals(cfg.base, pts) if cfg.oracle and quantity.dp45 else [None] * len(pts)
     nan = float("nan")
-
-    if cfg.quantity == "interferogram":
-        r = RabiParams(epsilon=cfg.base.epsilon, Delta=cfg.base.Delta, t=cfg.base.t1)
-        grid = interferogram(r, cfg.axes[0], cfg.axes[1])
-        columns = ["t", "epsilon", "p_real", "p_modulus", "p_mod2_oracle", "error"]
-        rows = []
-        for i, t in enumerate(cfg.axes[0].values()):
-            for j, e in enumerate(cfg.axes[1].values()):
-                rows.append(
-                    [t, e, grid.p_real[i][j], grid.p_modulus[i][j], grid.p_mod2_oracle[i][j], 0]
-                )
-        return _finish(cfg, columns, rows)
-
-    if cfg.quantity == "rabi":
-        def eval_point(pt):
-            r = RabiParams(
-                epsilon=pt.get("epsilon", cfg.base.epsilon),
-                Delta=pt.get("Delta", cfg.base.Delta),
-                t=pt.get("t", cfg.base.t1),
-            )
-            vals = []
-            cf = rabi_survival_closed_form(r)
-            vals += [cf.real_part, cf.modulus]
-            if cfg.oracle:
-                orc = rabi_survival_oracle(r)
-                ref = cf.modulus if cfg.convention == "mod2" else cf.real_part
-                vals += [orc.p22_mod2, orc.p12_mod2, abs(ref - orc.p12_mod2)]
-            return vals
-
-        columns = ["p_real", "p_modulus"]
-        if cfg.oracle:
-            columns += ["oracle_p22_mod2", "oracle_p12_mod2", "deviation"]
-        n_vals = len(columns)
-        columns = axis_names + columns + ["error"]
-        rows = _map_points(pts, eval_point, axis_names, n_vals)
-        return _finish(cfg, columns, rows)
-
-    if cfg.quantity == "spectrum":
-        def eval_point(pt):
-            q, t_end = _apply_point(cfg.base, pt)
-            d = energy_decomposition(q, t_end)
-            return [d.re_plus, d.im_plus, d.re_minus, d.im_minus, d.phi, d.z_mag]
-
-        value_cols = ["re_e_plus", "im_e_plus", "re_e_minus", "im_e_minus", "phi", "z_mag"]
-        columns = axis_names + value_cols + ["error"]
-        rows = _map_points(pts, eval_point, axis_names, len(value_cols))
-        return _finish(cfg, columns, rows)
-
-    # populations / amplitudes share the oracle plumbing
-    oracle_vals = _oracle_finals(cfg.base, pts) if cfg.oracle else None
-
-    if cfg.quantity == "populations":
-        value_cols = _populations_columns(cfg)
-
-        def eval_point(i_pt):
-            i, pt = i_pt
-            q, t_end = _apply_point(cfg.base, pt)
-            rec = populations(q, q.t0, t_end)
-            vals = [rec.p12_paper, rec.p22_paper, rec.p12_mod2, rec.p22_mod2, rec.norm]
-            if cfg.oracle:
-                o = oracle_vals[i]
-                if o is None:
-                    vals += [nan, nan, nan]
-                else:
-                    o12, o22 = abs(o[0]) ** 2, abs(o[1]) ** 2
-                    vals += [o12, o22, max(abs(rec.p12_mod2 - o12), abs(rec.p22_mod2 - o22))]
-            return vals
-    else:  # amplitudes
-        value_cols = _amplitudes_columns(cfg)
-
-        def eval_point(i_pt):
-            i, pt = i_pt
-            q, t_end = _apply_point(cfg.base, pt)
-            a = amplitudes(q, AmplitudePair(0.0, 1.0, q.t0), t_end)
-            vals = [a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm]
-            if cfg.oracle:
-                o = oracle_vals[i]
-                if o is None:
-                    vals += [nan, nan, nan, nan, nan]
-                else:
-                    vals += [
-                        o[0].real, o[0].imag, o[1].real, o[1].imag,
-                        max(abs(a.c1 - o[0]), abs(a.c2 - o[1])),
-                    ]
-            return vals
-
-    columns = axis_names + value_cols + ["error"]
-    rows = _map_points(list(enumerate(pts)), eval_point, axis_names, len(value_cols),
-                       pt_of=lambda ip: ip[1])
-    return _finish(cfg, columns, rows)
-
-
-def _map_points(items, eval_point, axis_names, n_vals, pt_of=lambda pt: pt):
-    nan = float("nan")
-
-    def task(item):
-        pt = pt_of(item)
-        prefix = [pt[n] for n in axis_names]
+    rows = []
+    for pt, final in zip(pts, finals):
+        prefix = [pt[n] for n in names]
         try:
-            return prefix + eval_point(item) + [0]
+            rows.append(prefix + quantity.point(cfg, pt, final) + [0])
         except Exception as exc:  # flagged row, sweep continues
-            return prefix + [nan] * n_vals + [_error_code(exc)]
-
-    n_workers = _workers()
-    if n_workers == 1 or len(items) <= 1:
-        return [task(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(task, items))
+            rows.append(prefix + [nan] * len(values) + [_error_code(exc)])
+    return _finish(cfg, names + values + ["error"], rows)
 
 
 def _finish(cfg: SweepConfig, columns, rows) -> Dataset:
@@ -347,7 +302,6 @@ def _finish(cfg: SweepConfig, columns, rows) -> Dataset:
             "abs_tol": _ORACLE_CFG.abs_tol,
         },
         "specfun_accuracy_target": SWITCHING.accuracy_target,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     for row in rows:
         assert len(row) == len(columns)
@@ -429,5 +383,3 @@ def _figure_config(n: int, oracle: bool = True, fmt: str = "csv", out=None) -> S
         return SweepConfig(base, axes, "interferogram", oracle=oracle, fmt=fmt, out=out)
     raise ConfigError(f"no built-in figure {n}; choose 2-7")
 
-
-FIGURES = {n: _figure_config for n in (2, 3, 4, 5, 6, 7)}

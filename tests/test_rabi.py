@@ -1,21 +1,21 @@
 """Constant-Hamiltonian limit: closed-form survival, the independent
 matrix-exponential oracle, convergence of the exponential model, and the
-interferogram grid."""
+interferogram sweep."""
 
 import math
 
 import numpy as np
 import pytest
 
-from exptwolevel.errors import DegeneracyError, DomainError
+from exptwolevel.errors import ConfigError, DegeneracyError, DomainError
 from exptwolevel.model import AxisSpec, ModelParams
 from exptwolevel.rabi import (
     RabiParams,
-    interferogram,
     rabi_limit_convergence,
     rabi_survival_closed_form,
     rabi_survival_oracle,
 )
+from exptwolevel.sweep import SweepConfig, run_sweep
 
 
 class TestClosedForm:
@@ -143,38 +143,47 @@ class TestConvergence:
 class TestInterferogram:
     T_AXIS = AxisSpec("t", 0.0, 6.0, 13)
     E_AXIS = AxisSpec("epsilon", -1.5, 1.5, 11)
+    # Delta = 0.2; the exponential model's other parameters play no part
+    BASE = ModelParams(A=0.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.2, t0=-1.0, t1=0.0)
+
+    def grid(self, t_axis=T_AXIS, e_axis=E_AXIS) -> dict:
+        """Each column of the interferogram sweep as a [t][epsilon] grid."""
+        ds = run_sweep(SweepConfig(self.BASE, (t_axis, e_axis), "interferogram"))
+        n = e_axis.samples
+        return {
+            col: [[row[j] for row in ds.rows[i:i + n]] for i in range(0, len(ds.rows), n)]
+            for j, col in enumerate(ds.columns)
+        }
 
     def test_shapes(self):
-        g = interferogram(RabiParams(0.0, 0.2, 0.0), self.T_AXIS, self.E_AXIS)
-        assert len(g.p_real) == 13 and len(g.p_real[0]) == 11
-        assert len(g.p_mod2_oracle) == 13
+        g = self.grid()
+        assert len(g["p_real"]) == 13 and len(g["p_real"][0]) == 11
+        assert len(g["p_mod2_oracle"]) == 13
 
     def test_reflection_symmetry_mod2(self):
-        g = interferogram(RabiParams(0.0, 0.2, 0.0), self.T_AXIS, self.E_AXIS)
-        for row in g.p_mod2_oracle:
+        g = self.grid()
+        for row in g["p_mod2_oracle"]:
             for j in range(len(row)):
                 assert row[j] == pytest.approx(row[len(row) - 1 - j], abs=1e-12)
 
     def test_zero_time_row_trivial(self):
-        g = interferogram(RabiParams(0.0, 0.2, 0.0), AxisSpec("t", 0.0, 0.0, 1), self.E_AXIS)
-        assert all(v == 0.0 for v in g.p_real[0])
-        assert all(v == pytest.approx(1.0) for v in g.p_mod2_oracle[0])
+        g = self.grid(t_axis=AxisSpec("t", 0.0, 0.0, 1))
+        assert all(v == 0.0 for v in g["p_real"][0])
+        assert all(v == pytest.approx(1.0) for v in g["p_mod2_oracle"][0])
 
     def test_eps_zero_column_resolution_independent(self):
-        coarse = interferogram(RabiParams(0.0, 0.2, 0.0), self.T_AXIS,
-                               AxisSpec("epsilon", -1.0, 1.0, 3))
-        fine = interferogram(RabiParams(0.0, 0.2, 0.0), self.T_AXIS,
-                             AxisSpec("epsilon", -1.0, 1.0, 21))
+        coarse = self.grid(e_axis=AxisSpec("epsilon", -1.0, 1.0, 3))
+        fine = self.grid(e_axis=AxisSpec("epsilon", -1.0, 1.0, 21))
         for i in range(13):
-            assert coarse.p_modulus[i][1] == fine.p_modulus[i][10]
+            assert coarse["p_modulus"][i][1] == fine["p_modulus"][i][10]
 
     def test_bad_axis_names_rejected(self):
-        with pytest.raises(DomainError):
-            interferogram(RabiParams(0.0, 0.2, 0.0), self.E_AXIS, self.T_AXIS)
+        with pytest.raises(ConfigError):
+            SweepConfig(self.BASE, (self.E_AXIS, self.T_AXIS), "interferogram")
 
     def test_slice_matches_oracle_columns(self):
         # the oracle layer is exactly rabi_survival_oracle pointwise
-        g = interferogram(RabiParams(0.0, 0.2, 0.0), self.T_AXIS, self.E_AXIS)
+        g = self.grid()
         t = self.T_AXIS.values()[5]
         e = self.E_AXIS.values()[3]
-        assert g.p_mod2_oracle[5][3] == rabi_survival_oracle(RabiParams(e, 0.2, t)).p22_mod2
+        assert g["p_mod2_oracle"][5][3] == rabi_survival_oracle(RabiParams(e, 0.2, t)).p22_mod2

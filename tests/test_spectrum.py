@@ -1,5 +1,5 @@
 """Complex eigenvalue spectrum: characteristic polynomial, the two routes,
-the real/imaginary split, and grid maps."""
+the real/imaginary split, and grid maps as spectrum sweeps."""
 
 import cmath
 import math
@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from exptwolevel.errors import DomainError
+from exptwolevel.errors import ConfigError, DomainError
 from exptwolevel.model import AxisSpec, ModelParams, coupling, detuning
 from exptwolevel.spectrum import (
     eigenvalues_closed_form,
     eigenvalues_direct,
     energy_decomposition,
-    energy_map,
 )
+from exptwolevel.sweep import SweepConfig, run_sweep
 
 P = ModelParams(A=2.0, alpha=1.0, beta=0.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=5.0)
 
@@ -109,26 +109,37 @@ class TestDecomposition:
         assert abs(abs(d.phi) - math.pi / 4) < 1e-12
 
 
+def spectrum_rows(axis1, axis2) -> list:
+    """Rows of a spectrum sweep over the base P, each as {column: value}."""
+    ds = run_sweep(SweepConfig(P, (axis1, axis2), "spectrum"))
+    return [dict(zip(ds.columns, row)) for row in ds.rows]
+
+
+def decomposition_values(d) -> dict:
+    return {"re_e_plus": d.re_plus, "im_e_plus": d.im_plus, "re_e_minus": d.re_minus,
+            "im_e_minus": d.im_minus, "phi": d.phi, "z_mag": d.z_mag}
+
+
 class TestMap:
     def test_row_major_layout(self):
-        grid = energy_map(P, AxisSpec("Delta", -1.0, 1.0, 3), AxisSpec("epsilon", 0.0, 2.0, 2))
+        grid = spectrum_rows(AxisSpec("Delta", -1.0, 1.0, 3), AxisSpec("epsilon", 0.0, 2.0, 2))
         assert len(grid) == 6
         # entry 1 is (Delta=-1, epsilon=2); recompute directly
         q = ModelParams(A=2.0, alpha=1.0, beta=0.5, epsilon=2.0, Delta=-1.0, t0=-5.0, t1=5.0)
-        expect = energy_decomposition(q, P.t1)
-        assert grid[1] == expect
+        expect = decomposition_values(energy_decomposition(q, P.t1))
+        assert (grid[1]["Delta"], grid[1]["epsilon"], grid[1]["error"]) == (-1.0, 2.0, 0)
+        assert {k: grid[1][k] for k in expect} == expect
 
     def test_time_axis(self):
-        grid = energy_map(P, AxisSpec("t", 0.0, 1.0, 2), AxisSpec("Delta", 0.0, 1.0, 2))
-        assert grid[0] == energy_decomposition(
-            ModelParams(2.0, 1.0, 0.5, 0.5, 0.0, -5.0, 5.0), 0.0
+        grid = spectrum_rows(AxisSpec("t", 0.0, 1.0, 2), AxisSpec("Delta", 0.0, 1.0, 2))
+        expect = decomposition_values(
+            energy_decomposition(ModelParams(2.0, 1.0, 0.5, 0.5, 0.0, -5.0, 5.0), 0.0)
         )
+        assert {k: grid[0][k] for k in expect} == expect
 
     def test_bad_axis_rejected(self):
-        with pytest.raises(DomainError):
-            energy_map(P, AxisSpec("A", 0.0, 1.0, 2), AxisSpec("Delta", 0.0, 1.0, 2))
-        with pytest.raises(DomainError):
-            energy_map(P, AxisSpec("Delta", 0.0, 1.0, 2), AxisSpec("Delta", 0.0, 1.0, 2))
+        with pytest.raises(ConfigError):
+            spectrum_rows(AxisSpec("Delta", 0.0, 1.0, 2), AxisSpec("Delta", 0.0, 1.0, 2))
 
     def test_zone_structure_along_delta(self):
         # in the frozen limit, Re(Z) = 2 eps^2 - Delta^2: the real/imaginary

@@ -1,9 +1,10 @@
-"""Sweep engine and serialization: delegation, determinism, parallel/serial
-equivalence, error flagging, formats, and the CLI."""
+"""Sweep engine and serialization: delegation, determinism, thread safety,
+error flagging, formats, and the CLI."""
 
 import json
 import math
-import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from exptwolevel.cli import main as cli_main
 from exptwolevel.errors import ConfigError
 from exptwolevel.model import AxisSpec, ModelParams
 from exptwolevel.spectrum import energy_decomposition
+import exptwolevel.sweep as sweep
 from exptwolevel.sweep import (
     Dataset,
     SweepConfig,
-    WORKERS_ENV,
     emit,
     load_json_dataset,
     run_sweep,
@@ -92,10 +93,23 @@ class TestDelegation:
         dev = ds.columns.index("deviation")
         assert max(r[dev] for r in ds.rows) < 1e-6
 
-    def test_time_axis_sweep(self):
-        cfg = small_cfg(axes=(AxisSpec("t", 1.0, 4.0, 7),), oracle=True)
-        ds = run_sweep(cfg)
-        assert len(ds.rows) == 7
+    @pytest.mark.parametrize(
+        "quantity, axes",
+        [
+            ("populations", (AxisSpec("t", 1.0, 4.0, 7),)),
+            # points differing in end time and Delta share one oracle batch
+            ("amplitudes", (AxisSpec("t", 1.0, 4.0, 7), AxisSpec("Delta", -1.0, 1.0, 3))),
+        ],
+        ids=["populations", "amplitudes-2d"],
+    )
+    def test_time_axis_sweep(self, quantity, axes, monkeypatch):
+        batches = []
+        batch = sweep.integrate_tdse_batch
+        monkeypatch.setattr(sweep, "integrate_tdse_batch",
+                            lambda *a, **k: batches.append(1) or batch(*a, **k))
+        ds = run_sweep(small_cfg(quantity=quantity, axes=axes, oracle=True))
+        assert len(ds.rows) == 7 * (3 if len(axes) == 2 else 1)
+        assert len(batches) == 1
         dev = ds.columns.index("deviation")
         assert max(r[dev] for r in ds.rows) < 1e-6
 
@@ -124,6 +138,20 @@ class TestDelegation:
         assert codes[-1] == 0
         assert math.isnan(ds.rows[0][ds.columns.index("p22_mod2")])
 
+    @pytest.mark.parametrize("quantity", ["rabi", "interferogram"])
+    def test_rabi_degenerate_rows_flagged(self, quantity):
+        # eps = Delta = 0 makes the Rabi frequency degenerate: those rows are
+        # flagged with code 2 and the rest of the grid is evaluated
+        base = ModelParams(A=0.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.0, t0=-1.0, t1=0.0)
+        cfg = small_cfg(
+            base=base,
+            quantity=quantity,
+            axes=(AxisSpec("t", 0.0, 1.0, 2), AxisSpec("epsilon", -1.0, 1.0, 3)),
+        )
+        ds = run_sweep(cfg)
+        assert [r[-1] for r in ds.rows] == [0, 2, 0, 0, 2, 0]
+        assert math.isnan(ds.rows[1][ds.columns.index("p_modulus")])
+
 
 class TestDeterminism:
     def test_repeat_runs_bitwise_identical(self):
@@ -133,19 +161,25 @@ class TestDeterminism:
         assert a.rows == b.rows
 
     def test_parallel_serial_equivalence(self):
+        # the engine holds no shared mutable state: the same sweep run from
+        # four threads at once gives the serial rows bitwise
         cfg = small_cfg(oracle=True, axes=(AxisSpec("Delta", -1.0, 1.0, 9),))
-        old = os.environ.get(WORKERS_ENV)
+        serial = run_sweep(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            os.environ[WORKERS_ENV] = "1"
-            serial = run_sweep(cfg)
-            os.environ[WORKERS_ENV] = "4"
-            parallel = run_sweep(cfg)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = list(pool.map(lambda _: run_sweep(cfg), range(4), timeout=120))
         finally:
-            if old is None:
-                os.environ.pop(WORKERS_ENV, None)
-            else:
-                os.environ[WORKERS_ENV] = old
-        assert serial.rows == parallel.rows
+            sys.setswitchinterval(interval)
+        assert all(ds.rows == serial.rows for ds in runs)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emitted_files_byte_identical(self, fmt, tmp_path):
+        cfg = small_cfg(oracle=True)
+        for name in ("a", "b"):
+            emit(run_sweep(cfg), fmt, tmp_path / name)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 class TestEmit:
