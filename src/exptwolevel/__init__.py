@@ -22,7 +22,7 @@ from .analytic import (
     propagator,
     transition_parameter_omega12,
 )
-from .oracle import IntegratorConfig, TrajectoryResult, constant_h_propagator, integrate_tdse
+from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse_batch
 from .spectrum import (
     EnergyDecomposition,
     eigenvalues_closed_form,

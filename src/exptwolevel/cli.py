@@ -70,9 +70,12 @@ def _config_from_args(quantity: str, args) -> SweepConfig:
     axes = tuple(ax for ax in (args.axis1, args.axis2) if ax is not None)
     if not axes:
         raise ConfigError("at least --axis1 is required (or use --config)")
-    base = ModelParams(A=args.A, alpha=args.alpha, beta=args.beta,
-                       epsilon=args.epsilon, Delta=args.Delta,
-                       t0=args.t0, t1=args.t1)
+    try:
+        base = ModelParams(A=args.A, alpha=args.alpha, beta=args.beta,
+                           epsilon=args.epsilon, Delta=args.Delta,
+                           t0=args.t0, t1=args.t1)
+    except DomainError as exc:
+        raise ConfigError(f"invalid base parameters: {exc}") from exc
     return SweepConfig(base=base, axes=axes, quantity=quantity,
                        convention=args.convention, oracle=args.oracle,
                        fmt=args.format, out=args.output)

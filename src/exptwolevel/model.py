@@ -20,7 +20,6 @@ infinities never reach the special functions.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -64,6 +63,9 @@ class ModelParams:
     t1: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.alpha == 0.0:
             raise DomainError("alpha must be nonzero (x = exp(alpha t + beta) degenerates)")
         if not self.t0 < self.t1:
@@ -91,10 +93,6 @@ class ModelParams:
             t0=float(d["t0"]),
             t1=float(d["t1"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

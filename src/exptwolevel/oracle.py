@@ -7,20 +7,21 @@ this module and `analytic` is a genuine two-route check.
 The integrator is hand-rolled rather than delegated so that (a) whole
 parameter sweeps can be integrated as one batched state array with a shared
 adaptive step (the per-figure oracle runs need hundreds of trajectories in
-seconds), (b) accepted/rejected step counts and the norm trace are exposed,
-and (c) results are bitwise deterministic for fixed inputs.
+seconds), (b) the driver counts accepted and rejected steps, and (c)
+results are bitwise deterministic for fixed inputs.  `integrate_tdse_batch`
+is the one entry point for the Schroedinger equation; a single trajectory
+is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AmplitudePair
 from .errors import AccuracyError, DomainError
-from .model import ModelParams, derived_params, omega_integral, t_of_x, x_of_t
+from .model import ModelParams, derived_params, omega_integral, t_of_x
 
 # Dormand-Prince 4(5) tableau (FSAL, 7 stages)
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -39,33 +40,23 @@ _B4 = np.array(
 )
 _ERR = _B5 - _B4
 
+# the step never exceeds this fraction of the exponential's e-folding time 1/|alpha|
+STEP_CAP = 0.1
+# safety budget of accepted plus rejected steps for one integration
+MAX_STEPS = 2_000_000
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("integrator tolerances must be positive")
-        if self.max_steps <= 0:
-            raise DomainError("max_steps must be positive")
 
 
-@dataclass
-class TrajectoryResult:
-    final: AmplitudePair
-    norm_trace: list = field(default_factory=list)
-    steps_taken: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    sample_times: np.ndarray | None = None
-    samples: np.ndarray | None = None  # shape (len(sample_times), 2)
-
-
-def _dp45(f, t0, t1, y0, rtol, atol, max_step, max_steps, t_eval=None):
+def _dp45(f, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval=None):
     """Generic batched DP45 driver.
 
     ``y0`` may have any shape; the error norm is the max over all entries.
@@ -103,9 +94,9 @@ def _dp45(f, t0, t1, y0, rtol, atol, max_step, max_steps, t_eval=None):
     accepted = rejected = 0
 
     while (t1 - t) * direction > 0:
-        if accepted + rejected >= max_steps:
+        if accepted + rejected >= MAX_STEPS:
             raise AccuracyError(
-                f"step budget {max_steps} exhausted at t={t}", partial=(t, y.copy())
+                f"step budget {MAX_STEPS} exhausted at t={t}", partial=(t, y.copy())
             )
         # do not step past the next sample time or the endpoint
         limit = t1
@@ -120,8 +111,10 @@ def _dp45(f, t0, t1, y0, rtol, atol, max_step, max_steps, t_eval=None):
             k[i] = f(t + _C[i] * h_try, yi)
         y5 = y + h_try * np.tensordot(_B5, k, axes=(0, 0))
         err_vec = h_try * np.tensordot(_ERR, k, axes=(0, 0))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.max(np.abs(err_vec) / scale)) if y5.size else 0.0
+        if math.isnan(err):
+            err = math.inf  # overflowed stages: reject and shrink the step the most
         if err <= 1.0:
             t, y = t + h_try, y5
             k[0] = k[6]  # FSAL
@@ -140,60 +133,6 @@ def _dp45(f, t0, t1, y0, rtol, atol, max_step, max_steps, t_eval=None):
         if abs(h) < 1e-15 * span:
             raise AccuracyError(f"step size underflow at t={t}", partial=(t, y.copy()))
     return y, samples, accepted, rejected
-
-
-def _rhs_single(p: ModelParams):
-    d = 0.5 * complex(p.epsilon, p.Delta)
-    half_a = 0.5 * p.A
-
-    def f(t, y):
-        om = half_a * math.exp(p.alpha * t + p.beta) + 0.5 * p.epsilon
-        return np.array(
-            [-1j * (om * y[0] + d * y[1]), -1j * (d * y[0] - om * y[1])], dtype=complex
-        )
-
-    return f
-
-
-def integrate_tdse(
-    p: ModelParams,
-    init: AmplitudePair,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    t_eval=None,
-) -> TrajectoryResult:
-    """Integrate the two-level Schroedinger equation from init.t to p.t1."""
-    t0 = init.t
-    max_step = min(cfg.max_step, 0.1 / abs(p.alpha))  # resolve the exponential sweep
-    f = _rhs_single(p)
-    teval = None if t_eval is None else np.asarray(t_eval, dtype=float)
-    y, samples, acc, rej = _dp45(
-        f,
-        t0,
-        p.t1,
-        np.array([init.c1, init.c2], dtype=complex),
-        cfg.rel_tol,
-        cfg.abs_tol,
-        max_step,
-        cfg.max_steps,
-        t_eval=teval,
-    )
-    result = TrajectoryResult(
-        final=AmplitudePair(c1=complex(y[0]), c2=complex(y[1]), t=p.t1),
-        steps_taken=acc + rej,
-        accepted=acc,
-        rejected=rej,
-        sample_times=teval,
-        samples=samples,
-    )
-    if samples is not None:
-        result.norm_trace = [
-            (float(tt), float(np.abs(s[0]) ** 2 + np.abs(s[1]) ** 2))
-            for tt, s in zip(teval, samples)
-        ]
-    else:
-        n = float(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2)
-        result.norm_trace = [(float(p.t1), n)]
-    return result
 
 
 def integrate_tdse_batch(
@@ -227,11 +166,9 @@ def integrate_tdse_batch(
         return out
 
     y0 = np.broadcast_to(np.asarray(init, dtype=complex), (n, 2)).copy()
-    max_step = min(cfg.max_step, float(0.1 / np.max(np.abs(alpha))))
+    max_step = float(STEP_CAP / np.max(np.abs(alpha)))
     teval = None if t_eval is None else np.asarray(t_eval, dtype=float)
-    y, samples, _, _ = _dp45(
-        f, t0, t1, y0, cfg.rel_tol, cfg.abs_tol, max_step, cfg.max_steps, t_eval=teval
-    )
+    y, samples, _, _ = _dp45(f, t0, t1, y0, cfg, max_step, t_eval=teval)
     return y if samples is None else samples
 
 
@@ -273,18 +210,10 @@ def transformed_ode_check(p: ModelParams, x0: float, x1: float, n_samples: int =
     # initial state C(t(x0)) = (0, 1): psi = 1, x psi' = -i c C1 = 0
     u0 = np.array([1.0, 0.0], dtype=complex)
     xs = np.linspace(x0, x1, n_samples)
-    _, samp_x, _, _ = _dp45(
-        f, x0, x1, u0, cfg.rel_tol, cfg.abs_tol, math.inf, cfg.max_steps, t_eval=xs
-    )
+    _, samp_x, _, _ = _dp45(f, x0, x1, u0, cfg, math.inf, t_eval=xs)
     ts = np.array([t_of_x(p, float(x)) for x in xs])
     t_init = float(ts[0])
-    q = ModelParams(
-        A=p.A, alpha=p.alpha, beta=p.beta, epsilon=p.epsilon, Delta=p.Delta,
-        t0=min(t_init, float(ts[-1])) - 1.0, t1=float(ts[-1]),
-    )
-    res = integrate_tdse(
-        q, AmplitudePair(c1=0.0, c2=1.0, t=t_init), cfg, t_eval=ts
-    )
+    samp_t = integrate_tdse_batch([p], (0.0, 1.0), t_init, float(ts[-1]), cfg, t_eval=ts)
     dev = 0.0
     for i, (x, tt) in enumerate(zip(xs, ts)):
         phase = np.exp(1j * omega_integral(p, t_init, float(tt)))
@@ -294,6 +223,6 @@ def transformed_ode_check(p: ModelParams, x0: float, x1: float, n_samples: int =
             c1_from_x = (1j / c) * x * dpsi * phase
         else:
             c1_from_x = 0.0
-        c1_t, c2_t = res.samples[i]
+        c1_t, c2_t = samp_t[i, 0]
         dev = max(dev, abs(c1_from_x - c1_t), abs(c2_from_x - c2_t))
     return dev

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError
 from .model import ModelParams
-from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse
-from .analytic import AmplitudePair, PopulationRecord
+from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse_batch
+from .analytic import PopulationRecord
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,12 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float, n_samples: int = 33) 
         # otherwise the probe point no longer characterizes the limit
         window = min(window, math.log(2.0) / p.alpha)
     ts = np.linspace(t_probe, t_probe + window, n_samples)
-    q = ModelParams(
-        A=p.A, alpha=p.alpha, beta=p.beta, epsilon=p.epsilon, Delta=p.Delta,
-        t0=t_probe - 1.0, t1=float(ts[-1]),
-    )
-    res = integrate_tdse(
-        q,
-        AmplitudePair(c1=1.0, c2=0.0, t=t_probe),
-        IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14),
-        t_eval=ts,
+    samples = integrate_tdse_batch(
+        [p], (1.0, 0.0), t_probe, float(ts[-1]),
+        IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14), t_eval=ts,
     )
     dev = 0.0
-    for tt, sample in zip(ts, res.samples):
+    for tt, (sample,) in zip(ts, samples):
         u = constant_h_propagator(h, float(tt) - t_probe)
         dev = max(
             dev,

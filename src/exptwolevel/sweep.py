@@ -38,7 +38,7 @@ from .model import AxisSpec, ModelParams
 from .oracle import IntegratorConfig, integrate_tdse_batch
 from .rabi import RabiParams, rabi_survival_closed_form, rabi_survival_oracle
 from .spectrum import energy_decomposition
-from .specfun import SWITCHING
+from .specfun import ACCURACY_TARGET
 
 CONVENTIONS = ("mod2", "paper")
 FORMATS = ("csv", "json")
@@ -226,7 +226,10 @@ def _interferogram_point(cfg, pt, final):
     # closed-form transfer (both conventions) and the oracle's survival
     r = _rabi_params(cfg, pt)
     cf = rabi_survival_closed_form(r)
-    return [cf.real_part, cf.modulus, rabi_survival_oracle(r).p22_mod2]
+    vals = [cf.real_part, cf.modulus]
+    if cfg.oracle:
+        vals.append(rabi_survival_oracle(r).p22_mod2)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -268,8 +271,8 @@ QUANTITIES = {
     ),
     "interferogram": _Quantity(
         ("t", "epsilon"),
-        ("p_real", "p_modulus", "p_mod2_oracle"),
-        (),
+        ("p_real", "p_modulus"),
+        ("p_mod2_oracle",),
         _interferogram_point,
         exact_axes=True,
     ),
@@ -301,7 +304,7 @@ def _finish(cfg: SweepConfig, columns, rows) -> Dataset:
             "rel_tol": _ORACLE_CFG.rel_tol,
             "abs_tol": _ORACLE_CFG.abs_tol,
         },
-        "specfun_accuracy_target": SWITCHING.accuracy_target,
+        "specfun_accuracy_target": ACCURACY_TARGET,
     }
     for row in rows:
         assert len(row) == len(columns)

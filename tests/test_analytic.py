@@ -16,7 +16,7 @@ from exptwolevel.analytic import (
 )
 from exptwolevel.errors import DegeneracyError, DomainError
 from exptwolevel.model import ModelParams, derived_params, x_of_t
-from exptwolevel.oracle import IntegratorConfig, integrate_tdse
+from exptwolevel.oracle import IntegratorConfig, integrate_tdse_batch
 
 P = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
 P_HERM = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.0, t0=0.0, t1=5.0)
@@ -101,26 +101,24 @@ class TestOracleAgreement:
     def test_amplitudes_match_oracle(self, t):
         init = AmplitudePair(0.0, 1.0, P.t0)
         a = amplitudes(P, init, t)
-        q = ModelParams(2.0, 1.0, 1.5, 0.5, 0.5, P.t0 - 1.0, t)
-        o = integrate_tdse(q, init, TIGHT).final
-        assert abs(a.c1 - o.c1) < 1e-9
-        assert abs(a.c2 - o.c2) < 1e-9
+        o = integrate_tdse_batch([P], (0.0, 1.0), init.t, t, TIGHT)[0]
+        assert abs(a.c1 - o[0]) < 1e-9
+        assert abs(a.c2 - o[1]) < 1e-9
 
     def test_negative_alpha_regime(self):
         q = ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.7, Delta=0.3, t0=0.0, t1=7.0)
         init = AmplitudePair(0.0, 1.0, 0.0)
         a = amplitudes(q, init, 7.0)
-        o = integrate_tdse(q, init, TIGHT).final
-        assert abs(a.c1 - o.c1) < 1e-9
-        assert abs(a.c2 - o.c2) < 1e-9
+        o = integrate_tdse_batch([q], (0.0, 1.0), init.t, q.t1, TIGHT)[0]
+        assert abs(a.c1 - o[0]) < 1e-9
+        assert abs(a.c2 - o[1]) < 1e-9
 
     def test_general_initial_state(self):
         init = AmplitudePair(0.6, -0.8j, -2.0)
         a = amplitudes(P, init, 2.0)
-        q = ModelParams(2.0, 1.0, 1.5, 0.5, 0.5, -3.0, 2.0)
-        o = integrate_tdse(q, init, TIGHT).final
-        assert abs(a.c1 - o.c1) < 1e-9
-        assert abs(a.c2 - o.c2) < 1e-9
+        o = integrate_tdse_batch([P], (init.c1, init.c2), init.t, 2.0, TIGHT)[0]
+        assert abs(a.c1 - o[0]) < 1e-9
+        assert abs(a.c2 - o[1]) < 1e-9
 
 
 class TestPopulations:

@@ -3,6 +3,7 @@ derived hypergeometric parameters, and the detuning integral."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ class TestParams:
     def test_bad_window_rejected(self):
         with pytest.raises(DomainError):
             ModelParams(A=1.0, alpha=1.0, beta=0.0, epsilon=0.1, Delta=0.1, t0=2.0, t1=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["A", "alpha", "beta", "epsilon", "Delta", "t0", "t1"])
+    def test_non_finite_rejected(self, name, value):
+        # the sweep builds each point with replace(), so a swept value is checked too
+        with pytest.raises(DomainError, match=name):
+            replace(P, **{name: value})
 
     def test_json_round_trip(self):
         q = ModelParams.from_json_dict(P.to_json_dict())

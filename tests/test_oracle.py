@@ -1,18 +1,17 @@
 """Numerical integrator: convergence order, conservation laws, linearity,
 batching, and the constant-Hamiltonian matrix exponential."""
 
-import math
+import time
 
 import numpy as np
 import pytest
 
-from exptwolevel.analytic import AmplitudePair
-from exptwolevel.errors import DomainError
-from exptwolevel.model import ModelParams, hamiltonian, x_of_t
+import exptwolevel.oracle as oracle
+from exptwolevel.errors import AccuracyError, DomainError
+from exptwolevel.model import ModelParams, x_of_t
 from exptwolevel.oracle import (
     IntegratorConfig,
     constant_h_propagator,
-    integrate_tdse,
     integrate_tdse_batch,
     transformed_ode_check,
 )
@@ -20,76 +19,84 @@ from exptwolevel.oracle import (
 P_HERM = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.0, t0=-3.0, t1=2.0)
 P_FULL = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-INIT = AmplitudePair(c1=0.0, c2=1.0, t=-3.0)
+INIT = (0.0, 1.0)  # at t = -3
+
+
+def final(p, init, t0, t1, cfg=TIGHT):
+    """(c1, c2) at t1 of the trajectory through init at t0, as a batch of one."""
+    return integrate_tdse_batch([p], init, t0, t1, cfg)[0]
 
 
 class TestConservation:
     def test_norm_conserved_hermitian(self):
         ts = np.linspace(-3.0, 2.0, 21)
-        res = integrate_tdse(P_HERM, INIT, TIGHT, t_eval=ts)
-        norms = [n for _, n in res.norm_trace]
+        samples = integrate_tdse_batch([P_HERM], INIT, -3.0, 2.0, TIGHT, t_eval=ts)[:, 0]
+        norms = np.sum(np.abs(samples) ** 2, axis=1)
         assert max(abs(n - 1.0) for n in norms) < 1e-10
 
     def test_norm_not_conserved_non_hermitian(self):
         q = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.5, t0=-3.0, t1=2.0)
-        res = integrate_tdse(q, INIT, TIGHT)
-        assert abs(res.final.norm - 1.0) > 1e-3
+        c1, c2 = final(q, INIT, -3.0, 2.0)
+        assert abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-3
 
-    def test_counters(self):
-        res = integrate_tdse(P_HERM, INIT, TIGHT)
-        assert res.accepted > 0
-        assert res.steps_taken == res.accepted + res.rejected
+    def test_counters(self, monkeypatch):
+        # the driver counts its steps; integrate_tdse_batch returns only amplitudes
+        counts = []
+        dp45 = oracle._dp45
+
+        def counted(*args, **kwargs):
+            out = dp45(*args, **kwargs)
+            counts.append(out[2:])
+            return out
+
+        monkeypatch.setattr(oracle, "_dp45", counted)
+        final(P_HERM, INIT, -3.0, 2.0)
+        final(P_HERM, INIT, -3.0, 2.0, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
+        (tight_acc, tight_rej), (loose_acc, loose_rej) = counts
+        assert tight_acc > loose_acc > 0
+        assert tight_rej >= 0 and loose_rej >= 0
 
 
 class TestLinearity:
     def test_superposition(self):
-        a = integrate_tdse(P_HERM, AmplitudePair(1.0, 0.0, -3.0), TIGHT).final
-        b = integrate_tdse(P_HERM, AmplitudePair(0.0, 1.0, -3.0), TIGHT).final
-        mix = integrate_tdse(P_HERM, AmplitudePair(0.6, 0.8j, -3.0), TIGHT).final
-        assert abs(mix.c1 - (0.6 * a.c1 + 0.8j * b.c1)) < 1e-10
-        assert abs(mix.c2 - (0.6 * a.c2 + 0.8j * b.c2)) < 1e-10
+        a = final(P_HERM, (1.0, 0.0), -3.0, 2.0)
+        b = final(P_HERM, (0.0, 1.0), -3.0, 2.0)
+        mix = final(P_HERM, (0.6, 0.8j), -3.0, 2.0)
+        assert abs(mix[0] - (0.6 * a[0] + 0.8j * b[0])) < 1e-10
+        assert abs(mix[1] - (0.6 * a[1] + 0.8j * b[1])) < 1e-10
 
     def test_time_reversal(self):
-        init = AmplitudePair(0.0, 1.0, P_FULL.t0)
-        fwd = integrate_tdse(P_FULL, init, TIGHT).final
+        fwd = final(P_FULL, (0.0, 1.0), P_FULL.t0, P_FULL.t1)
         # integrate backward from t1 to t0: must recover the initial state
-        back = integrate_tdse(
-            ModelParams(2.0, 1.0, 1.5, 0.5, 0.5, P_FULL.t0 - 1.0, P_FULL.t0),
-            AmplitudePair(fwd.c1, fwd.c2, P_FULL.t1),
-            TIGHT,
-        ).final
-        assert abs(back.c1 - init.c1) < 1e-9
-        assert abs(back.c2 - init.c2) < 1e-9
+        back = final(P_FULL, fwd, P_FULL.t1, P_FULL.t0)
+        assert abs(back[0]) < 1e-9
+        assert abs(back[1] - 1.0) < 1e-9
 
 
 class TestAccuracy:
     def test_tolerance_ladder(self):
         # loosening rel_tol by 1e3 should cost accuracy; tight run is reference
-        ref = integrate_tdse(P_FULL, AmplitudePair(0.0, 1.0, P_FULL.t0), TIGHT).final
-        loose = integrate_tdse(
-            P_FULL,
-            AmplitudePair(0.0, 1.0, P_FULL.t0),
-            IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
-        ).final
-        err = max(abs(ref.c1 - loose.c1), abs(ref.c2 - loose.c2))
+        ref = final(P_FULL, (0.0, 1.0), P_FULL.t0, P_FULL.t1)
+        loose = final(
+            P_FULL, (0.0, 1.0), P_FULL.t0, P_FULL.t1, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+        )
+        err = max(abs(ref[0] - loose[0]), abs(ref[1] - loose[1]))
         assert 1e-13 < err < 1e-4
 
     def test_sample_times_exact(self):
         ts = np.array([-2.0, -0.5, 1.0])
-        res = integrate_tdse(P_FULL, AmplitudePair(0.0, 1.0, P_FULL.t0), TIGHT, t_eval=ts)
-        assert res.samples.shape == (3, 2)
+        samples = integrate_tdse_batch(
+            [P_FULL], (0.0, 1.0), P_FULL.t0, P_FULL.t1, TIGHT, t_eval=ts
+        )
+        assert samples.shape == (3, 1, 2)
         # the final sample time equals an independent run ending there
-        short = integrate_tdse(
-            ModelParams(2.0, 1.0, 1.5, 0.5, 0.5, P_FULL.t0, 1.0),
-            AmplitudePair(0.0, 1.0, P_FULL.t0),
-            TIGHT,
-        ).final
-        assert abs(res.samples[2][0] - short.c1) < 1e-10
-        assert abs(res.samples[2][1] - short.c2) < 1e-10
+        short = final(P_FULL, (0.0, 1.0), P_FULL.t0, 1.0)
+        assert abs(samples[2, 0, 0] - short[0]) < 1e-10
+        assert abs(samples[2, 0, 1] - short[1]) < 1e-10
 
     def test_sample_outside_window_rejected(self):
         with pytest.raises(DomainError):
-            integrate_tdse(P_FULL, AmplitudePair(0.0, 1.0, P_FULL.t0), TIGHT, t_eval=[99.0])
+            integrate_tdse_batch([P_FULL], (0.0, 1.0), P_FULL.t0, P_FULL.t1, TIGHT, t_eval=[99.0])
 
 
 class TestBatch:
@@ -98,9 +105,19 @@ class TestBatch:
         params = [ModelParams(2.0, 1.0, 0.0, 0.2, d, 0.0, 4.0) for d in deltas]
         finals = integrate_tdse_batch(params, (0.0, 1.0), 0.0, 4.0, TIGHT)
         for q, row in zip(params, finals):
-            single = integrate_tdse(q, AmplitudePair(0.0, 1.0, 0.0), TIGHT).final
-            assert abs(row[0] - single.c1) < 1e-9
-            assert abs(row[1] - single.c2) < 1e-9
+            single = final(q, (0.0, 1.0), 0.0, 4.0)
+            assert abs(row[0] - single[0]) < 1e-9
+            assert abs(row[1] - single[1]) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_point_fails_fast(self):
+        # at beta = 400 the stages overflow to a NaN error norm; the controller
+        # must shrink the step until it underflows, not grow it until the budget
+        params = [ModelParams(2.0, 1.0, beta, 0.2, 0.5, 0.0, 1.0) for beta in (0.0, 400.0)]
+        start = time.monotonic()
+        with pytest.raises(AccuracyError):
+            integrate_tdse_batch(params, (0.0, 1.0), 0.0, 1.0)
+        assert time.monotonic() - start < 5.0
 
 
 class TestConstantPropagator:

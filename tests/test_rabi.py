@@ -15,6 +15,7 @@ from exptwolevel.rabi import (
     rabi_survival_closed_form,
     rabi_survival_oracle,
 )
+import exptwolevel.sweep as sweep
 from exptwolevel.sweep import SweepConfig, run_sweep
 
 
@@ -148,7 +149,7 @@ class TestInterferogram:
 
     def grid(self, t_axis=T_AXIS, e_axis=E_AXIS) -> dict:
         """Each column of the interferogram sweep as a [t][epsilon] grid."""
-        ds = run_sweep(SweepConfig(self.BASE, (t_axis, e_axis), "interferogram"))
+        ds = run_sweep(SweepConfig(self.BASE, (t_axis, e_axis), "interferogram", oracle=True))
         n = e_axis.samples
         return {
             col: [[row[j] for row in ds.rows[i:i + n]] for i in range(0, len(ds.rows), n)]
@@ -176,6 +177,13 @@ class TestInterferogram:
         fine = self.grid(e_axis=AxisSpec("epsilon", -1.0, 1.0, 21))
         for i in range(13):
             assert coarse["p_modulus"][i][1] == fine["p_modulus"][i][10]
+
+    def test_oracle_off_skips_oracle(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweep, "rabi_survival_oracle", calls.append)
+        ds = run_sweep(SweepConfig(self.BASE, (self.T_AXIS, self.E_AXIS), "interferogram"))
+        assert ds.columns == ["t", "epsilon", "p_real", "p_modulus", "error"]
+        assert calls == []
 
     def test_bad_axis_names_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from exptwolevel import specfun
 from exptwolevel.errors import DomainError, PoleError
 from exptwolevel.specfun import (
-    SWITCHING,
     kummer_m,
     kummer_m_derivative,
     ln_gamma_complex,
@@ -163,5 +163,8 @@ class TestDomain:
             kummer_m(0.5, -1.0, 1.0)
 
     def test_switching_config_frozen(self):
-        assert SWITCHING.taylor_radius == 35.0
-        assert SWITCHING.accuracy_target == 1e-9
+        assert specfun.TAYLOR_RADIUS == 35.0
+        assert specfun.MAX_TAYLOR_TERMS == 700
+        assert specfun.MAX_ASYMPTOTIC_TERMS == 120
+        assert specfun.INTEGER_OFFSET == 1e-7
+        assert specfun.ACCURACY_TARGET == 1e-9

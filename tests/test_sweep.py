@@ -248,6 +248,9 @@ class TestCli:
 
     def test_missing_axis_is_config_error(self):
         assert cli_main(["populations"]) == 2
+        # invalid base parameters are configuration errors, as in a --config file
+        for bad in (["--alpha", "0"], ["--t0", "5", "--t1", "1"], ["--Delta", "nan"]):
+            assert cli_main(["populations", "--axis1", "Delta:-2:2:3", *bad]) == 2
 
     def test_config_file(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
