@@ -64,7 +64,6 @@ class BasisSolutions:
     v1: complex
     u2: complex
     v2: complex
-    x: float
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,6 @@ def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
         v1=xpow * u0,
         u2=pref * xpow * (m0 + (z / g) * m1),
         v2=pref * xpow * (u0 - z * u1p),
-        x=x,
     )
 
 

@@ -50,11 +50,10 @@ def _add_sweep_args(sp: argparse.ArgumentParser) -> None:
                         help=f"base parameter {name} (default {default})")
     sp.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
                     help="add ODE-oracle columns and a deviation column")
-    sp.add_argument("--convention", choices=("mod2", "paper"), default="mod2")
     sp.add_argument("--format", choices=FORMATS, default="csv")
     sp.add_argument("--output", default=None, help="output path (default: stdout)")
     sp.add_argument("--config", default=None,
-                    help="JSON file with a full sweep config (overrides other flags)")
+                    help="JSON sweep config file (overrides the axis, base and oracle flags)")
 
 
 def _config_from_args(quantity: str, args) -> SweepConfig:
@@ -76,9 +75,7 @@ def _config_from_args(quantity: str, args) -> SweepConfig:
                            t0=args.t0, t1=args.t1)
     except DomainError as exc:
         raise ConfigError(f"invalid base parameters: {exc}") from exc
-    return SweepConfig(base=base, axes=axes, quantity=quantity,
-                       convention=args.convention, oracle=args.oracle,
-                       fmt=args.format, out=args.output)
+    return SweepConfig(base=base, axes=axes, quantity=quantity, oracle=args.oracle)
 
 
 def _selftest() -> int:
@@ -167,12 +164,11 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return _selftest()
         if args.command == "figure":
-            cfg = _figure_config(args.number, oracle=args.oracle,
-                                 fmt=args.format, out=args.output)
+            cfg = _figure_config(args.number, oracle=args.oracle)
         else:
             cfg = _config_from_args(args.command, args)
         ds = run_sweep(cfg)
-        emit(ds, cfg.fmt, cfg.out)
+        emit(ds, args.format, args.output)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,7 +109,6 @@ class DerivedParams:
     mu1: complex
     mu2: complex
     gamma: complex
-    lam: complex
 
 
 def _checked_exponent(p: ModelParams, t: float) -> float:
@@ -156,8 +155,7 @@ def derived_params(p: ModelParams) -> DerivedParams:
     mu1 = 0.5 * ((1.0 - a) - root)
     mu2 = 0.5 * ((1.0 - a) + root)
     gamma = 2.0 * mu1 + a
-    lam = 0.5j * p.epsilon / p.alpha
-    return DerivedParams(a=a, b=b, c=c, mu1=mu1, mu2=mu2, gamma=gamma, lam=lam)
+    return DerivedParams(a=a, b=b, c=c, mu1=mu1, mu2=mu2, gamma=gamma)
 
 
 def omega_integral(p: ModelParams, ta: float, tb: float) -> float:

@@ -96,9 +96,11 @@ def rabi_survival_oracle(r: RabiParams) -> PopulationRecord:
 
 # exponential magnitude below which the model counts as "in the Rabi limit"
 RABI_LIMIT_THRESHOLD = 1e-3
+# sample times over the window of rabi_limit_convergence
+CONVERGENCE_SAMPLES = 33
 
 
-def rabi_limit_convergence(p: ModelParams, t_probe: float, n_samples: int = 33) -> float:
+def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
     """Max population deviation between the exponential model and its frozen
     limit over a two-Rabi-period window starting at t_probe.
 
@@ -120,7 +122,7 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float, n_samples: int = 33) 
         # keep the perturbation from growing by more than 2x over the window,
         # otherwise the probe point no longer characterizes the limit
         window = min(window, math.log(2.0) / p.alpha)
-    ts = np.linspace(t_probe, t_probe + window, n_samples)
+    ts = np.linspace(t_probe, t_probe + window, CONVERGENCE_SAMPLES)
     samples = integrate_tdse_batch(
         [p], (1.0, 0.0), t_probe, float(ts[-1]),
         IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14), t_eval=ts,

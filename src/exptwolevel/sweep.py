@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from . import __version__
@@ -40,7 +40,6 @@ from .rabi import RabiParams, rabi_survival_closed_form, rabi_survival_oracle
 from .spectrum import energy_decomposition
 from .specfun import ACCURACY_TARGET
 
-CONVENTIONS = ("mod2", "paper")
 FORMATS = ("csv", "json")
 _MODEL_AXES = ("A", "alpha", "beta", "epsilon", "Delta", "t")
 _RABI_AXES = ("epsilon", "Delta", "t")
@@ -53,18 +52,11 @@ class SweepConfig:
     base: ModelParams
     axes: tuple
     quantity: str
-    convention: str = "mod2"
     oracle: bool = False
-    fmt: str = "csv"
-    out: str | None = None
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ConfigError(f"unknown quantity {self.quantity!r}; choose from {tuple(QUANTITIES)}")
-        if self.convention not in CONVENTIONS:
-            raise ConfigError(f"unknown convention {self.convention!r}")
-        if self.fmt not in FORMATS:
-            raise ConfigError(f"unknown format {self.fmt!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("sweeps take one or two axes")
         spec = QUANTITIES[self.quantity]
@@ -85,15 +77,19 @@ class SweepConfig:
                 for a in self.axes
             ],
             "quantity": self.quantity,
-            "convention": self.convention,
             "oracle": self.oracle,
-            "format": self.fmt,
-            "out": self.out,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "SweepConfig":
         try:
+            # a key this does not read would otherwise be ignored silently
+            known = [(d, ("base", "axes", "quantity", "oracle")),
+                     (d["base"], [f.name for f in fields(ModelParams)])]
+            known += [(a, ("name", "start", "stop", "samples")) for a in d["axes"]]
+            unknown = sorted(k for obj, keys in known for k in set(obj) - set(keys))
+            if unknown:
+                raise ConfigError(f"unknown keys {unknown}")
             return SweepConfig(
                 base=ModelParams.from_json_dict(d["base"]),
                 axes=tuple(
@@ -101,10 +97,7 @@ class SweepConfig:
                     for a in d["axes"]
                 ),
                 quantity=d["quantity"],
-                convention=d.get("convention", "mod2"),
                 oracle=bool(d.get("oracle", False)),
-                fmt=d.get("format", "csv"),
-                out=d.get("out"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed sweep config: {exc}") from exc
@@ -151,11 +144,14 @@ def _apply_point(base: ModelParams, pt: dict):
 
 
 def _oracle_finals(base: ModelParams, pts: list) -> list:
-    """Final (c1, c2) from the ODE oracle for each grid point, or None where
-    the point itself is invalid.
+    """Final (c1, c2) from the ODE oracle for each grid point, None where
+    the point itself is invalid, or the AccuracyError of a point whose
+    oracle run fails.
 
     Every valid point goes into one batch over the common window, sampled at
-    each distinct end time, so a t-axis sweep costs one batched run too.
+    each distinct end time, so a t-axis sweep costs one batched run too.  A
+    point that fails spoils the step all points share, so when the batch
+    fails each point is rerun alone and only the failing ones are flagged.
     """
     valid = []
     for i, pt in enumerate(pts):
@@ -168,12 +164,20 @@ def _oracle_finals(base: ModelParams, pts: list) -> list:
         return finals
     times = sorted({t_end for _, _, t_end in valid})
     slot = {t_end: k for k, t_end in enumerate(times)}
-    samples = integrate_tdse_batch(
-        [q for _, q, _ in valid], (0.0, 1.0), base.t0, times[-1], _ORACLE_CFG, t_eval=times
-    )
-    for row, (i, _, t_end) in enumerate(valid):
-        c1, c2 = samples[slot[t_end], row]
-        finals[i] = (complex(c1), complex(c2))
+    try:
+        samples = integrate_tdse_batch(
+            [q for _, q, _ in valid], (0.0, 1.0), base.t0, times[-1], _ORACLE_CFG, t_eval=times
+        )
+        ends = [samples[slot[t_end], row] for row, (_, _, t_end) in enumerate(valid)]
+    except AccuracyError:
+        ends = []
+        for _, q, t_end in valid:
+            try:
+                ends.append(integrate_tdse_batch([q], (0.0, 1.0), base.t0, t_end, _ORACLE_CFG)[0])
+            except AccuracyError as exc:
+                ends.append(exc)
+    for (i, _, _), end in zip(valid, ends):
+        finals[i] = end if isinstance(end, AccuracyError) else (complex(end[0]), complex(end[1]))
     return finals
 
 
@@ -217,8 +221,7 @@ def _rabi_point(cfg, pt, final):
     vals = [cf.real_part, cf.modulus]
     if cfg.oracle:
         orc = rabi_survival_oracle(r)
-        ref = cf.modulus if cfg.convention == "mod2" else cf.real_part
-        vals += [orc.p22_mod2, orc.p12_mod2, abs(ref - orc.p12_mod2)]
+        vals += [orc.p22_mod2, orc.p12_mod2, abs(cf.modulus - orc.p12_mod2)]
     return vals
 
 
@@ -290,6 +293,8 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     for pt, final in zip(pts, finals):
         prefix = [pt[n] for n in names]
         try:
+            if isinstance(final, AccuracyError):
+                raise final
             rows.append(prefix + quantity.point(cfg, pt, final) + [0])
         except Exception as exc:  # flagged row, sweep continues
             rows.append(prefix + [nan] * len(values) + [_error_code(exc)])
@@ -359,30 +364,30 @@ def load_json_dataset(path) -> Dataset:
 
 # Built-in figure sweeps.  Captions fix only some constants; the remaining
 # windows and resolutions are package defaults chosen for smooth curves.
-def _figure_config(n: int, oracle: bool = True, fmt: str = "csv", out=None) -> SweepConfig:
+def _figure_config(n: int, oracle: bool = True) -> SweepConfig:
     if n == 2:
         base = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.0, Delta=0.5, t0=0.0, t1=3.0)
         axes = (AxisSpec("epsilon", -2.0, 2.0, 201),)
-        return SweepConfig(base, axes, "populations", oracle=oracle, fmt=fmt, out=out)
+        return SweepConfig(base, axes, "populations", oracle=oracle)
     if n == 3:
         base = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.0, t0=0.0, t1=5.0)
         axes = (AxisSpec("Delta", -2.0, 2.0, 201),)
-        return SweepConfig(base, axes, "populations", oracle=oracle, fmt=fmt, out=out)
+        return SweepConfig(base, axes, "populations", oracle=oracle)
     if n == 4:
         base = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.5, t0=0.0, t1=5.0)
         axes = (AxisSpec("epsilon", -2.0, 2.0, 201),)
-        return SweepConfig(base, axes, "populations", oracle=oracle, fmt=fmt, out=out)
+        return SweepConfig(base, axes, "populations", oracle=oracle)
     if n == 5:
         base = ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.0, Delta=0.0, t0=0.0, t1=7.0)
         axes = (AxisSpec("Delta", -3.0, 3.0, 121), AxisSpec("epsilon", 0.0, 4.0, 81))
-        return SweepConfig(base, axes, "spectrum", oracle=False, fmt=fmt, out=out)
+        return SweepConfig(base, axes, "spectrum", oracle=False)
     if n == 6:
         base = ModelParams(A=20.0, alpha=0.5, beta=0.0, epsilon=1.0, Delta=0.0, t0=0.0, t1=15.0)
         axes = (AxisSpec("Delta", -3.0, 3.0, 121), AxisSpec("beta", -60.0, -20.0, 81))
-        return SweepConfig(base, axes, "spectrum", oracle=False, fmt=fmt, out=out)
+        return SweepConfig(base, axes, "spectrum", oracle=False)
     if n == 7:
         base = ModelParams(A=0.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.2, t0=-1.0, t1=0.0)
         axes = (AxisSpec("t", 0.0, 10.0, 121), AxisSpec("epsilon", -2.0, 2.0, 81))
-        return SweepConfig(base, axes, "interferogram", oracle=oracle, fmt=fmt, out=out)
+        return SweepConfig(base, axes, "interferogram", oracle=oracle)
     raise ConfigError(f"no built-in figure {n}; choose 2-7")
 

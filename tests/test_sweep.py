@@ -57,7 +57,7 @@ class TestConfig:
             )
 
     def test_json_round_trip(self):
-        cfg = small_cfg(oracle=True, fmt="json")
+        cfg = small_cfg(oracle=True)
         again = SweepConfig.from_json_dict(cfg.to_json_dict())
         assert again == cfg
 
@@ -137,6 +137,17 @@ class TestDelegation:
         assert codes[0] != 0
         assert codes[-1] == 0
         assert math.isnan(ds.rows[0][ds.columns.index("p22_mod2")])
+
+    def test_oracle_failure_flags_only_its_row(self, tmp_path):
+        # at beta = 400 the oracle overflows and fails the shared batch; each
+        # point is then rerun alone, so only that row is flagged (code 3)
+        out = tmp_path / "o.json"
+        rc = cli_main(["populations", "--axis1", "beta:0:400:2", "--oracle",
+                       "--format", "json", "--output", str(out)])
+        assert rc == 0
+        ds = load_json_dataset(out)
+        assert [r[-1] for r in ds.rows] == [0, 3]
+        assert ds.rows[0][ds.columns.index("deviation")] < 1e-6
 
     @pytest.mark.parametrize("quantity", ["rabi", "interferogram"])
     def test_rabi_degenerate_rows_flagged(self, quantity):
@@ -253,8 +264,35 @@ class TestCli:
             assert cli_main(["populations", "--axis1", "Delta:-2:2:3", *bad]) == 2
 
     def test_config_file(self, tmp_path):
+        # --format and --output apply with --config too
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(small_cfg().to_json_dict()))
         out = tmp_path / "o.csv"
-        rc = cli_main(["populations", "--config", str(cfgfile), "--output", str(out)])
+        rc = cli_main(["populations", "--config", str(cfgfile), "--output", str(out),
+                       "--format", "json"])
         assert rc == 0
+        assert load_json_dataset(out).rows == run_sweep(small_cfg()).rows
+
+    def test_output_path_not_in_file(self, tmp_path):
+        for name in ("a.csv", "b.csv"):
+            rc = cli_main(["populations", "--axis1", "Delta:-1:1:3",
+                           "--output", str(tmp_path / name)])
+            assert rc == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [((), "convention", "mod2"), ((), "format", "csv"), ((), "out", None),
+         ((), "orcale", True), (("base",), "Delat", 0.5), (("axes", 0), "stpe", 3)],
+        ids=["convention", "format", "out", "typo", "base-typo", "axis-typo"],
+    )
+    def test_unknown_config_key_is_config_error(self, where, key, value, tmp_path):
+        # a key the config does not read fails instead of being ignored
+        d = small_cfg().to_json_dict()
+        obj = d
+        for k in where:
+            obj = obj[k]
+        obj[key] = value
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(d))
+        assert cli_main(["populations", "--config", str(cfgfile)]) == 2
