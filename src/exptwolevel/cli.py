@@ -58,8 +58,12 @@ def _add_sweep_args(sp: argparse.ArgumentParser) -> None:
 
 def _config_from_args(quantity: str, args) -> SweepConfig:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = SweepConfig.from_json_dict(json.load(fh))
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+        cfg = SweepConfig.from_json_dict(obj)
         if cfg.quantity != quantity:
             raise ConfigError(
                 f"config file selects quantity {cfg.quantity!r} but the "

@@ -1,5 +1,6 @@
-"""Physical model definition: parameters, detuning, coupling, Hamiltonian,
-the exponential variable change, and the derived hypergeometric parameters.
+"""Physical model definition: parameters, the detuning and coupling of the
+Hamiltonian, the exponential variable change, and the derived
+hypergeometric parameters.
 
 Detuning O(t) = (A e^{a t + b} + eps) / 2 and coupling d = (i Delta + eps)/2
 make the Hamiltonian
@@ -22,8 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, ExponentOverflowError
 
@@ -126,13 +125,6 @@ def detuning(p: ModelParams, t: float) -> float:
 def coupling(p: ModelParams) -> complex:
     """d = (i Delta + epsilon) / 2."""
     return 0.5 * complex(p.epsilon, p.Delta)
-
-
-def hamiltonian(p: ModelParams, t: float) -> np.ndarray:
-    """2x2 traceless matrix [[O, d], [d, -O]]."""
-    om = detuning(p, t)
-    d = coupling(p)
-    return np.array([[om, d], [d, -om]], dtype=complex)
 
 
 def x_of_t(p: ModelParams, t: float) -> float:

@@ -6,9 +6,9 @@ Evaluation strategy (regime thresholds are the module constants below):
   argument to the right half plane, where the Taylor series does not
   alternate in its dominant real part.
 * ``|z| <= TAYLOR_RADIUS``: direct Taylor series accumulated in
-  double-double arithmetic.  On the imaginary axis the series cancels by
-  ~e^{|z|}; the extended accumulator keeps the result at full double
-  accuracy up to the switching radius.
+  TAYLOR_DIGITS-digit ``decimal`` arithmetic.  On the imaginary axis the
+  series cancels by ~e^{|z|}; the 40-digit accumulator still leaves
+  ~e^{|z|} * 1e-40 relative error, below double rounding up to |z| = 50.
 * ``|z| > TAYLOR_RADIUS``: the large-|z| asymptotic expansions
   (Poincare series), truncated at the smallest term.
 
@@ -29,20 +29,23 @@ The Wronskian convention satisfied by this implementation is
 from __future__ import annotations
 
 import cmath
+from decimal import Context, Decimal, localcontext
 
 from scipy.special import loggamma as _loggamma
 
-from . import _dd
 from .errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 
 # regime thresholds of the M/U evaluation paths
 TAYLOR_RADIUS = 35.0
 MAX_TAYLOR_TERMS = 700
+TAYLOR_DIGITS = 40
 MAX_ASYMPTOTIC_TERMS = 120
 INTEGER_OFFSET = 1e-7
 ACCURACY_TARGET = 1e-9
 
 _INT_TOL = 1e-12
+_TAYLOR_CONTEXT = Context(prec=TAYLOR_DIGITS)
+_TAYLOR_STOP = Decimal("1e-66")  # on |term|^2 / |sum|^2
 
 
 def _nonpositive_int(z) -> bool:
@@ -79,31 +82,38 @@ def _safe_exp(z) -> complex:
 
 
 def _kummer_taylor(a, b, z) -> complex:
-    """Sum_k (a)_k / (b)_k z^k / k! in double-double arithmetic."""
-    term = _dd.CDD_ONE
-    total = _dd.CDD_ONE
-    zdd = _dd.cdd_from(z)
-    for k in range(MAX_TAYLOR_TERMS):
-        num = (_dd.two_sum(a.real, float(k)), _dd.dd_from(a.imag))
-        den = (_dd.two_sum(b.real, float(k)), _dd.dd_from(b.imag))
-        term = _dd.cdd_mul(term, zdd)
-        term = _dd.cdd_mul(term, num)
-        term = _dd.cdd_div(term, den)
-        kk = (float(k + 1), 0.0)
-        term = (_dd.dd_div(term[0], kk), _dd.dd_div(term[1], kk))
-        total = _dd.cdd_add(total, term)
-        t2 = _dd.cdd_abs2(term)
-        if t2 == 0.0:
-            break  # terminating series (a a non-positive integer)
-        if t2 < 1e-66 * _dd.cdd_abs2(total):
-            break
-    else:
-        raise AccuracyError(
-            f"Kummer Taylor series did not converge in {MAX_TAYLOR_TERMS} terms "
-            f"for a={a}, b={b}, z={z}",
-            residual=(_dd.cdd_abs2(term) / max(_dd.cdd_abs2(total), 1e-300)) ** 0.5,
-        )
-    return _dd.cdd_to_complex(total)
+    """Sum_k (a)_k / (b)_k z^k / k! in TAYLOR_DIGITS-digit decimal arithmetic.
+
+    Complex values are (real, imag) pairs of ``Decimal``; the float inputs
+    convert exactly and the sum rounds to ``complex`` once, at the end.
+    """
+    with localcontext(_TAYLOR_CONTEXT):
+        ar, ai, br, bi = Decimal(a.real), Decimal(a.imag), Decimal(b.real), Decimal(b.imag)
+        zr, zi = Decimal(z.real), Decimal(z.imag)
+        tr, ti = Decimal(1), Decimal(0)
+        sr, si = tr, ti
+        for k in range(MAX_TAYLOR_TERMS):
+            # term *= z * (a + k) / (b + k) / (k + 1)
+            tr, ti = tr * zr - ti * zi, tr * zi + ti * zr
+            nr = ar + k
+            tr, ti = tr * nr - ti * ai, tr * ai + ti * nr
+            dr = br + k
+            d2 = (dr * dr + bi * bi) * (k + 1)
+            tr, ti = (tr * dr + ti * bi) / d2, (ti * dr - tr * bi) / d2
+            sr += tr
+            si += ti
+            t2 = tr * tr + ti * ti
+            if t2 == 0:
+                break  # terminating series (a a non-positive integer)
+            if t2 < _TAYLOR_STOP * (sr * sr + si * si):
+                break
+        else:
+            raise AccuracyError(
+                f"Kummer Taylor series did not converge in {MAX_TAYLOR_TERMS} terms "
+                f"for a={a}, b={b}, z={z}",
+                residual=(float(t2) / max(float(sr * sr + si * si), 1e-300)) ** 0.5,
+            )
+    return complex(float(sr), float(si))
 
 
 def _poincare_sum(p, q, zinv, max_terms):
@@ -182,7 +192,7 @@ def kummer_m(mu, gamma, z) -> complex:
         return _kummer_asymptotic(mu, gamma, z)
     except AccuracyError:
         # band just above the switching radius with unfavourable parameters:
-        # the double-double Taylor sum still carries ~e^{|z|} * 1e-32 headroom
+        # the decimal Taylor sum still carries ~e^{|z|} * 1e-40 headroom
         if abs(z) <= 50.0:
             return _kummer_taylor(mu, gamma, z)
         raise
@@ -279,20 +289,18 @@ def wronskian_residual(mu, gamma, z) -> float:
             f"Wronskian prefactor Gamma(mu) pole at mu = {mu}", location=round(mu.real)
         )
     # the products M*U' and U*M' exceed W by ~e^{pi |Im gamma|} on the
-    # imaginary axis; form the difference in double-double so the residual
-    # reflects the function values, not the combination's own cancellation
-    w_num = _dd.cdd_to_complex(
-        _dd.cdd_sub(
-            _dd.cdd_mul(
-                _dd.cdd_from(kummer_m(mu, gamma, z)),
-                _dd.cdd_from(tricomi_u_derivative(mu, gamma, z)),
-            ),
-            _dd.cdd_mul(
-                _dd.cdd_from(tricomi_u(mu, gamma, z)),
-                _dd.cdd_from(kummer_m_derivative(mu, gamma, z)),
-            ),
+    # imaginary axis; form the difference in TAYLOR_DIGITS-digit decimal so
+    # the residual reflects the function values, not the combination's own
+    # cancellation
+    m, du = kummer_m(mu, gamma, z), tricomi_u_derivative(mu, gamma, z)
+    u, dm = tricomi_u(mu, gamma, z), kummer_m_derivative(mu, gamma, z)
+    with localcontext(_TAYLOR_CONTEXT):
+        mr, mi, dur, dui = Decimal(m.real), Decimal(m.imag), Decimal(du.real), Decimal(du.imag)
+        ur, ui, dmr, dmi = Decimal(u.real), Decimal(u.imag), Decimal(dm.real), Decimal(dm.imag)
+        w_num = complex(
+            float(mr * dur - mi * dui - (ur * dmr - ui * dmi)),
+            float(mr * dui + mi * dur - (ur * dmi + ui * dmr)),
         )
-    )
     w_closed = -cmath.exp(
         ln_gamma_complex(gamma) - ln_gamma_complex(mu) - gamma * cmath.log(z) + z
     )

@@ -356,12 +356,6 @@ def emit(ds: Dataset, fmt: str, path=None) -> None:
             fh.close()
 
 
-def load_json_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return Dataset(columns=obj["columns"], rows=obj["rows"], provenance=obj["provenance"])
-
-
 # Built-in figure sweeps.  Captions fix only some constants; the remaining
 # windows and resolutions are package defaults chosen for smooth curves.
 def _figure_config(n: int, oracle: bool = True) -> SweepConfig:

@@ -15,11 +15,17 @@ from exptwolevel.model import (
     coupling,
     derived_params,
     detuning,
-    hamiltonian,
     omega_integral,
     t_of_x,
     x_of_t,
 )
+
+
+def hamiltonian(p, t):
+    """The 2x2 matrix [[O, d], [d, -O]] built from the model's detuning and coupling."""
+    om, d = detuning(p, t), coupling(p)
+    return np.array([[om, d], [d, -om]], dtype=complex)
+
 
 P = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=5.0)
 

@@ -2,6 +2,7 @@
 closed-form identities, and the Wronskian property grid."""
 
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -29,6 +30,14 @@ REFERENCE_M = [
     (1.0, 2.0, 1.0, math.e - 1.0),
     (0.3 + 0.2j, 1.1, 0.5 - 0.4j, 1.2457725722192147 - 0.0493776037293967j),
     (0.3 + 0.2j, 1.1 + 0.5j, 35j, 0.1862975010882763 + 0.0034339580697521j),
+    # |z| in the (35, 50] band where the asymptotic expansion gives up and
+    # kummer_m retries the Taylor sum; frozen from 60-digit evaluation
+    (
+        18.918392215047565 - 100.93670063591014j,
+        37.83678443009513 - 116.16399890917033j,
+        -47.920819464223165j,
+        -0.006704281879809423 + 0.003004221159400758j,
+    ),
 ]
 
 REFERENCE_U = [
@@ -165,6 +174,24 @@ class TestDomain:
     def test_switching_config_frozen(self):
         assert specfun.TAYLOR_RADIUS == 35.0
         assert specfun.MAX_TAYLOR_TERMS == 700
+        assert specfun.TAYLOR_DIGITS == 40
         assert specfun.MAX_ASYMPTOTIC_TERMS == 120
         assert specfun.INTEGER_OFFSET == 1e-7
         assert specfun.ACCURACY_TARGET == 1e-9
+
+
+class TestDecimalContext:
+    def test_kernel_owns_its_context(self):
+        # a caller's low-precision, Inexact-trapping context neither changes
+        # the values nor is changed by the Taylor kernel or the Wronskian
+        mu, g, z, _ = REFERENCE_M[-1]
+        expect_m, expect_w = kummer_m(mu, g, z), wronskian_residual(mu, g, z)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = True
+            ctx.clear_flags()
+            assert kummer_m(mu, g, z) == expect_m
+            assert wronskian_residual(mu, g, z) == expect_w
+            assert decimal.getcontext() is ctx
+            assert ctx.prec == 5 and ctx.traps[decimal.Inexact]
+            assert not any(ctx.flags.values())

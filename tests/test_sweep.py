@@ -19,7 +19,6 @@ from exptwolevel.sweep import (
     Dataset,
     SweepConfig,
     emit,
-    load_json_dataset,
     run_sweep,
 )
 
@@ -145,9 +144,9 @@ class TestDelegation:
         rc = cli_main(["populations", "--axis1", "beta:0:400:2", "--oracle",
                        "--format", "json", "--output", str(out)])
         assert rc == 0
-        ds = load_json_dataset(out)
-        assert [r[-1] for r in ds.rows] == [0, 3]
-        assert ds.rows[0][ds.columns.index("deviation")] < 1e-6
+        ds = json.loads(out.read_text())
+        assert [r[-1] for r in ds["rows"]] == [0, 3]
+        assert ds["rows"][0][ds["columns"].index("deviation")] < 1e-6
 
     @pytest.mark.parametrize("quantity", ["rabi", "interferogram"])
     def test_rabi_degenerate_rows_flagged(self, quantity):
@@ -217,9 +216,9 @@ class TestEmit:
         ds = run_sweep(small_cfg(oracle=True))
         path = tmp_path / "out.json"
         emit(ds, "json", path)
-        again = load_json_dataset(path)
-        assert again.columns == ds.columns
-        assert again.rows == ds.rows
+        again = json.loads(path.read_text())
+        assert again["columns"] == ds.columns
+        assert again["rows"] == ds.rows
 
     def test_empty_dataset(self, tmp_path):
         ds = Dataset(columns=["a", "b"], rows=[], provenance={"k": 1})
@@ -252,10 +251,10 @@ class TestCli:
         out = tmp_path / "f3.json"
         rc = cli_main(["figure", "3", "--format", "json", "--output", str(out)])
         assert rc == 0
-        ds = load_json_dataset(out)
-        assert len(ds.rows) == 201
-        dev = ds.columns.index("deviation")
-        assert max(r[dev] for r in ds.rows) < 1e-6
+        ds = json.loads(out.read_text())
+        assert len(ds["rows"]) == 201
+        dev = ds["columns"].index("deviation")
+        assert max(r[dev] for r in ds["rows"]) < 1e-6
 
     def test_missing_axis_is_config_error(self):
         assert cli_main(["populations"]) == 2
@@ -271,7 +270,14 @@ class TestCli:
         rc = cli_main(["populations", "--config", str(cfgfile), "--output", str(out),
                        "--format", "json"])
         assert rc == 0
-        assert load_json_dataset(out).rows == run_sweep(small_cfg()).rows
+        assert json.loads(out.read_text())["rows"] == run_sweep(small_cfg()).rows
+
+    @pytest.mark.parametrize("text", [None, '{"base": '], ids=["missing", "invalid-json"])
+    def test_unreadable_config_file_is_config_error(self, text, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        if text is not None:
+            cfgfile.write_text(text)
+        assert cli_main(["populations", "--config", str(cfgfile)]) == 2
 
     def test_output_path_not_in_file(self, tmp_path):
         for name in ("a.csv", "b.csv"):
