@@ -61,7 +61,7 @@ def _config_from_args(quantity: str, args) -> SweepConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         cfg = SweepConfig.from_json_dict(obj)
         if cfg.quantity != quantity:

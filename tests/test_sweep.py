@@ -219,6 +219,7 @@ class TestEmit:
         again = json.loads(path.read_text())
         assert again["columns"] == ds.columns
         assert again["rows"] == ds.rows
+        assert again["provenance"] == json.loads(json.dumps(ds.provenance))
 
     def test_empty_dataset(self, tmp_path):
         ds = Dataset(columns=["a", "b"], rows=[], provenance={"k": 1})
@@ -272,11 +273,12 @@ class TestCli:
         assert rc == 0
         assert json.loads(out.read_text())["rows"] == run_sweep(small_cfg()).rows
 
-    @pytest.mark.parametrize("text", [None, '{"base": '], ids=["missing", "invalid-json"])
-    def test_unreadable_config_file_is_config_error(self, text, tmp_path):
+    @pytest.mark.parametrize("data", [None, b'{"base": ', b"\xff"],
+                             ids=["missing", "invalid-json", "not-utf8"])
+    def test_unreadable_config_file_is_config_error(self, data, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        if text is not None:
-            cfgfile.write_text(text)
+        if data is not None:
+            cfgfile.write_bytes(data)
         assert cli_main(["populations", "--config", str(cfgfile)]) == 2
 
     def test_output_path_not_in_file(self, tmp_path):
