@@ -1,23 +1,23 @@
 """Complex-argument confluent hypergeometric functions M and U.
 
-Evaluation strategy (regime thresholds are the module constants below):
+One route rule serves both functions (thresholds are the constants below):
 
-* ``Re z < 0``: the reflection M(a, b, z) = e^z M(b-a, b, -z) maps the
-  argument to the right half plane, where the Taylor series does not
-  alternate in its dominant real part.
-* ``|z| <= TAYLOR_RADIUS``: direct Taylor series accumulated in
-  TAYLOR_DIGITS-digit ``decimal`` arithmetic.  On the imaginary axis the
-  series cancels by ~e^{|z|}; the 40-digit accumulator still leaves
-  ~e^{|z|} * 1e-40 relative error, below double rounding up to |z| = 50.
-* ``|z| > TAYLOR_RADIUS``: the large-|z| asymptotic expansions
-  (Poincare series), truncated at the smallest term.
+* ``|z| <= TAYLOR_RADIUS``: the series route.  M is the Taylor series summed
+  in TAYLOR_DIGITS-digit ``decimal`` arithmetic, which absorbs its ~e^{|z|}
+  cancellation (relative error ~e^{|z|} * 1e-40, below double rounding up
+  to |z| = 50); U is the two-M connection formula.
+* ``|z| > TAYLOR_RADIUS``: the asymptotic route, the large-|z| Poincare
+  series truncated at the smallest term.
+* If the chosen route misses ACCURACY_TARGET and RETRY_MIN <= |z| <=
+  RETRY_RADIUS, the other route is tried and the better estimate kept.  The
+  Taylor sum has no estimate, so M retries only above the radius.  A value
+  that still misses the target raises ``AccuracyError``.
 
-U is computed from the two-M connection formula for non-integer second
-parameter.  Integer second parameter is handled by evaluating at
-``gamma +/- INTEGER_OFFSET`` and averaging, which cancels the
-O(h) term of the degenerate limit.  The principal branch is used
-throughout, with the cut of U along the negative real axis; points on the
-cut evaluate as the limit from above (principal ``log``).
+Integer second parameter of U takes, inside the radius, the average at
+``gamma +/- INTEGER_OFFSET``, which cancels the O(h) term of the degenerate
+limit (good to ~1e-8, not gated); beyond it, the asymptotic route alone.
+The principal branch is used throughout, with the cut of U along the
+negative real axis; points on the cut evaluate as the limit from above.
 
 The Wronskian convention satisfied by this implementation is
 
@@ -37,6 +37,8 @@ from .errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 
 # regime thresholds of the M/U evaluation paths
 TAYLOR_RADIUS = 35.0
+RETRY_MIN = 10.0
+RETRY_RADIUS = 50.0
 MAX_TAYLOR_TERMS = 700
 TAYLOR_DIGITS = 40
 MAX_ASYMPTOTIC_TERMS = 120
@@ -136,7 +138,7 @@ def _poincare_sum(p, q, zinv, max_terms):
     return total, best / max(abs(total), 1e-300)
 
 
-def _kummer_asymptotic(a, b, z) -> complex:
+def _kummer_asymptotic(a, b, z):
     # Exact two-U connection (avoids the Stokes-sector sign ambiguity of the
     # naive e^{+-i pi a} Poincare form, which matters for complex parameters):
     #   M = G(b)/G(b-a) e^{-s a pi i} U(a,b,z)
@@ -157,17 +159,29 @@ def _kummer_asymptotic(a, b, z) -> complex:
         t2 = _rgamma(a) * cmath.exp(s * (b - a) * cmath.pi * 1j) * _safe_exp(z) * u2
     total = t1 + t2
     err = (abs(t1) * e1 + abs(t2) * e2) / max(abs(total), 1e-300)
-    if err > ACCURACY_TARGET:
-        raise AccuracyError(
-            f"asymptotic expansion of M(a={a}, b={b}, z={z}) reached residual {err:.2e}",
-            residual=err,
-        )
-    return cmath.exp(ln_gamma_complex(b)) * total
+    return cmath.exp(ln_gamma_complex(b)) * total, err
 
 
 def _tricomi_asymptotic_raw(a, b, z):
     s, err = _poincare_sum(a, a - b + 1.0, -1.0 / z, MAX_ASYMPTOTIC_TERMS)
     return cmath.exp(-a * cmath.log(z)) * s, err
+
+
+def _route(name, series, asymptotic, mu, gamma, z):
+    """The route rule.  Each route maps (mu, gamma, z) to (value, error
+    estimate); ``series`` is None where there is no series route."""
+    r = abs(z)
+    first, other = (series, asymptotic) if r <= TAYLOR_RADIUS else (asymptotic, series)
+    val, err = first(mu, gamma, z)
+    if err > ACCURACY_TARGET and other is not None and RETRY_MIN <= r <= RETRY_RADIUS:
+        alt, alt_err = other(mu, gamma, z)
+        if alt_err < err:
+            val, err = alt, alt_err
+    if err > ACCURACY_TARGET:
+        raise AccuracyError(
+            f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}", residual=err
+        )
+    return val
 
 
 # public operations ----------------------------------------------------------
@@ -181,21 +195,8 @@ def kummer_m(mu, gamma, z) -> complex:
             f"M(mu, gamma, z) undefined: gamma = {gamma} is a non-positive integer",
             location=round(gamma.real),
         )
-    if z == 0:
-        return 1.0 + 0.0j
-    if z.real < 0:
-        # reflection keeps the series argument in the right half plane
-        return _safe_exp(z) * kummer_m(gamma - mu, gamma, -z)
-    if abs(z) <= TAYLOR_RADIUS:
-        return _kummer_taylor(mu, gamma, z)
-    try:
-        return _kummer_asymptotic(mu, gamma, z)
-    except AccuracyError:
-        # band just above the switching radius with unfavourable parameters:
-        # the decimal Taylor sum still carries ~e^{|z|} * 1e-40 headroom
-        if abs(z) <= 50.0:
-            return _kummer_taylor(mu, gamma, z)
-        raise
+    # the decimal Taylor sum carries no error estimate, so it never asks for a retry
+    return _route("M", lambda *w: (_kummer_taylor(*w), 0.0), _kummer_asymptotic, mu, gamma, z)
 
 
 def _tricomi_connection(mu, gamma, z):
@@ -220,45 +221,25 @@ def tricomi_u(mu, gamma, z) -> complex:
     """Tricomi's function U(mu, gamma, z), principal branch (cut on the
     negative real axis, evaluated there as the limit from above).
 
-    The connection-formula route cancels by roughly
-    e^{Re z} * e^{pi(|Im mu| + |Im gamma|)}; when that erodes the accuracy
-    target and the asymptotic series estimates better, the asymptotic value
-    is returned instead (adaptive regime choice).
+    The series route is the two-M connection formula, which cancels by
+    roughly e^{Re z} * e^{pi(|Im mu| + |Im gamma|)} and estimates that loss.
     """
     mu, gamma, z = complex(mu), complex(gamma), complex(z)
     if mu == 0:
         return 1.0 + 0.0j  # terminating series, any gamma and z
     if z == 0:
         raise DomainError("U(mu, gamma, 0) not evaluated (generically singular at z = 0)")
-    if abs(z) > TAYLOR_RADIUS:
-        val, err = _tricomi_asymptotic_raw(mu, gamma, z)
-        if err > ACCURACY_TARGET and abs(z) <= 50.0 and not (
-            abs(gamma.imag) <= _INT_TOL and abs(gamma.real - round(gamma.real)) <= _INT_TOL
-        ):
-            # band just above the switching radius: the connection route may
-            # still be the more accurate of the two
-            alt, alt_err = _tricomi_connection(mu, gamma, z)
-            if alt_err < err:
-                val, err = alt, alt_err
-        if err > ACCURACY_TARGET:
-            raise AccuracyError(
-                f"U(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}",
-                residual=err,
-            )
-        return val
+    series = _tricomi_connection
     gr = round(gamma.real)
     if abs(gamma.imag) <= _INT_TOL and abs(gamma.real - gr) < 10 * INTEGER_OFFSET:
-        # degenerate (logarithmic) case: symmetric offset cancels the O(h) term
-        h = INTEGER_OFFSET
-        up, e_up = _tricomi_connection(mu, complex(gr + h, gamma.imag), z)
-        dn, e_dn = _tricomi_connection(mu, complex(gr - h, gamma.imag), z)
-        return 0.5 * (up + dn)
-    val, err = _tricomi_connection(mu, gamma, z)
-    if err > ACCURACY_TARGET and abs(z) >= 10.0:
-        alt, alt_err = _tricomi_asymptotic_raw(mu, gamma, z)
-        if alt_err < err:
-            return alt
-    return val
+        series = None
+        if abs(z) <= TAYLOR_RADIUS:
+            # degenerate (logarithmic) case: symmetric offset cancels the O(h) term
+            h = INTEGER_OFFSET
+            up, _ = _tricomi_connection(mu, complex(gr + h, gamma.imag), z)
+            dn, _ = _tricomi_connection(mu, complex(gr - h, gamma.imag), z)
+            return 0.5 * (up + dn)
+    return _route("U", series, _tricomi_asymptotic_raw, mu, gamma, z)
 
 
 def kummer_m_derivative(mu, gamma, z) -> complex:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from exptwolevel import specfun
-from exptwolevel.errors import DomainError, PoleError
+from exptwolevel.errors import AccuracyError, DomainError, PoleError
 from exptwolevel.specfun import (
     kummer_m,
     kummer_m_derivative,
@@ -38,11 +38,18 @@ REFERENCE_M = [
         -47.920819464223165j,
         -0.006704281879809423 + 0.003004221159400758j,
     ),
+    # Re z < 0: the Taylor sum inside the radius, the asymptotic route beyond
+    # it, with no reflection to the right half plane; 60-digit evaluation
+    (0.4 + 0.3j, 1.3 - 0.2j, -25 + 15j, 0.10582264522153624 - 0.19725805677954927j),
+    (0.4 + 0.3j, 1.3 - 0.2j, -40 - 20j, -0.00936614831961544 - 0.2567306880388094j),
 ]
 
 REFERENCE_U = [
     (1.0, 1.0, 1.0, 0.5963473623231940743),  # e * E1(1)
     (0.3 + 0.2j, 1.1, 0.5 - 0.4j, 0.9950061231940401 + 0.1964986895848441j),
+    # |z| in [RETRY_MIN, TAYLOR_RADIUS]: the connection misses the target
+    # (estimate 3e-3) and the asymptotic retry is kept; 60-digit evaluation
+    (0.5, 1.2, 30.0, 0.18168924984404036),
 ]
 
 
@@ -54,6 +61,15 @@ class TestReferenceValues:
     def test_tricomi_noninteger_gamma(self):
         mu, g, z, expect = REFERENCE_U[1]
         assert relerr(tricomi_u(mu, g, z), expect) < 1e-13
+
+    def test_tricomi_asymptotic_retry_below_radius(self):
+        mu, g, z, expect = REFERENCE_U[2]
+        assert relerr(tricomi_u(mu, g, z), expect) < 1e-13
+
+    def test_kummer_left_half_plane_correctly_rounded(self):
+        # the 40-digit Taylor sum rounds once, so no reflection is needed
+        mu, g, z, expect = REFERENCE_M[4]
+        assert kummer_m(mu, g, z) == expect
 
     def test_tricomi_integer_gamma(self):
         # integer gamma takes the symmetric-offset limit, accurate to ~1e-8
@@ -171,8 +187,22 @@ class TestDomain:
         with pytest.raises(PoleError):
             kummer_m(0.5, -1.0, 1.0)
 
+    def test_tricomi_missing_target_raises(self):
+        # both routes miss ACCURACY_TARGET here (true value
+        # -0.01135884833280571 - 0.022769411168428195j, 60 digits): the
+        # connection's estimate is 6e-6, so no value is returned
+        with pytest.raises(AccuracyError) as info:
+            tricomi_u(
+                1.2029718292593041 + 0.7780925882868193j,
+                0.4283823604538659 - 0.9812192607576353j,
+                16.483657564690976 - 5.313257864431741j,
+            )
+        assert info.value.residual > specfun.ACCURACY_TARGET
+
     def test_switching_config_frozen(self):
         assert specfun.TAYLOR_RADIUS == 35.0
+        assert specfun.RETRY_MIN == 10.0
+        assert specfun.RETRY_RADIUS == 50.0
         assert specfun.MAX_TAYLOR_TERMS == 700
         assert specfun.TAYLOR_DIGITS == 40
         assert specfun.MAX_ASYMPTOTIC_TERMS == 120
