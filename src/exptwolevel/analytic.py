@@ -18,7 +18,10 @@ first-order system's constraint, so each column is a genuine solution of the
 coupled equations (up to the common gauge factor).  The propagator is formed
 as a Wronskian ratio: the numerator matrix at time t against the closed-form
 determinant at time t0, which is stable where direct 2x2 inversion of a
-nearly degenerate basis would not be.
+nearly degenerate basis would not be.  Where the basis itself has lost its
+accuracy to cancellation, the numeric determinant at t0 strays from the
+closed form; past BASIS_RESIDUAL_LIMIT the propagator raises instead of
+returning a wrong matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, PoleError
+from .errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from .model import DerivedParams, ModelParams, derived_params, omega_integral, x_of_t
 from .specfun import (
     kummer_m,
@@ -37,6 +40,9 @@ from .specfun import (
     tricomi_u,
     _nonpositive_int,
 )
+
+# largest |numeric/closed-form basis determinant - 1| a propagator is returned at
+BASIS_RESIDUAL_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,12 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
     w12 = transition_parameter_omega12(d, x0)
     if w12 == 0 or not cmath.isfinite(w12):
         raise DegeneracyError(f"basis determinant vanished at t0 = {t0}")
+    residual = abs((b0.u2 * b0.v1 - b0.v2 * b0.u1) / w12 - 1)
+    if not residual <= BASIS_RESIDUAL_LIMIT:  # NaN raises too
+        raise AccuracyError(
+            f"basis determinant at t0 = {t0} is off its closed form by {residual:.2e}",
+            residual=residual,
+        )
     ph = gauge_factor(p, t0, t)
     s = ph / w12
     return PropagatorMatrix(

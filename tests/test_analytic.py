@@ -2,6 +2,7 @@
 independence, unitarity in the Hermitian sub-case, and oracle agreement."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from exptwolevel.analytic import (
     propagator,
     transition_parameter_omega12,
 )
-from exptwolevel.errors import DegeneracyError, DomainError
+from exptwolevel.errors import AccuracyError, DegeneracyError, DomainError, ExponentOverflowError
 from exptwolevel.model import ModelParams, derived_params, x_of_t
 from exptwolevel.oracle import IntegratorConfig, integrate_tdse_batch
 
@@ -119,6 +120,37 @@ class TestOracleAgreement:
         o = integrate_tdse_batch([P], (init.c1, init.c2), init.t, 2.0, TIGHT)[0]
         assert abs(a.c1 - o[0]) < 1e-9
         assert abs(a.c2 - o[1]) < 1e-9
+
+
+class TestRandomBox:
+    def test_never_silently_wrong(self):
+        # alpha log-uniform in [0.02, 5], A in [0.5, 3], epsilon and Delta in
+        # [-3, 3], beta keeping alpha t + beta in [-4, 2] on [0, 1]: each
+        # propagator matches the oracle to 1e-6 or raises a typed error
+        rng = np.random.default_rng(1)
+        n = 200
+        alpha = np.exp(rng.uniform(math.log(0.02), math.log(5.0), n))
+        amp = rng.uniform(0.5, 3.0, n)
+        eps, delta = rng.uniform(-3.0, 3.0, (2, n))
+        beta = -4.0 + (6.0 - alpha) * rng.uniform(size=n)
+        params = [
+            ModelParams(A=a, alpha=al, beta=b, epsilon=e, Delta=d, t0=0.0, t1=1.0)
+            for a, al, b, e, d in zip(amp, alpha, beta, eps, delta)
+        ]
+        # columns of U(1, 0): initial states (1, 0) and (0, 1) in one batch
+        init = np.array([(1.0, 0.0)] * n + [(0.0, 1.0)] * n, dtype=complex)
+        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        ref = integrate_tdse_batch(params + params, init, 0.0, 1.0, cfg)
+        raised = 0
+        for i, q in enumerate(params):
+            try:
+                u = propagator(q, 0.0, 1.0).as_array()
+            except (AccuracyError, DegeneracyError, DomainError, ExponentOverflowError):
+                raised += 1
+                continue
+            dev = max(np.max(np.abs(u[:, 0] - ref[i])), np.max(np.abs(u[:, 1] - ref[n + i])))
+            assert dev < 1e-6, (q, dev)
+        assert raised < n // 2
 
 
 class TestPopulations:
