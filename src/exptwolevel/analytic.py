@@ -18,10 +18,9 @@ first-order system's constraint, so each column is a genuine solution of the
 coupled equations (up to the common gauge factor).  The propagator is formed
 as a Wronskian ratio: the numerator matrix at time t against the closed-form
 determinant at time t0, which is stable where direct 2x2 inversion of a
-nearly degenerate basis would not be.  Where the basis itself has lost its
-accuracy to cancellation, the numeric determinant at t0 strays from the
-closed form; past BASIS_RESIDUAL_LIMIT the propagator raises instead of
-returning a wrong matrix.
+nearly degenerate basis would not be.  A basis that lost its accuracy to
+cancellation shows in its numeric determinant at t0, which then strays from
+the closed form; past BASIS_RESIDUAL_LIMIT the propagator raises.
 """
 
 from __future__ import annotations
@@ -181,10 +180,7 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
         raise DegeneracyError(f"basis determinant vanished at t0 = {t0}")
     residual = abs((b0.u2 * b0.v1 - b0.v2 * b0.u1) / w12 - 1)
     if not residual <= BASIS_RESIDUAL_LIMIT:  # NaN raises too
-        raise AccuracyError(
-            f"basis determinant at t0 = {t0} is off its closed form by {residual:.2e}",
-            residual=residual,
-        )
+        raise AccuracyError(f"basis residual {residual:.2e} at t0 = {t0}", residual=residual)
     ph = gauge_factor(p, t0, t)
     s = ph / w12
     return PropagatorMatrix(

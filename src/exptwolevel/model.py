@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import DomainError, ExponentOverflowError
 
@@ -71,27 +71,11 @@ class ModelParams:
             raise DomainError(f"require t0 < t1, got t0={self.t0}, t1={self.t1}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "Delta": self.Delta,
-            "t0": self.t0,
-            "t1": self.t1,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelParams":
-        return cls(
-            A=float(d["A"]),
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-            epsilon=float(d["epsilon"]),
-            Delta=float(d["Delta"]),
-            t0=float(d["t0"]),
-            t1=float(d["t1"]),
-        )
+        return cls(**{f.name: json_number(d[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -108,6 +92,13 @@ class DerivedParams:
     mu1: complex
     mu2: complex
     gamma: complex
+
+
+def json_number(value) -> float:
+    """A JSON number as float; a bool or a string is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _checked_exponent(p: ModelParams, t: float) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from . import __version__
@@ -34,7 +34,7 @@ from .errors import (
     DomainError,
     ExponentOverflowError,
 )
-from .model import AxisSpec, ModelParams
+from .model import AxisSpec, ModelParams, json_number
 from .oracle import IntegratorConfig, integrate_tdse_batch
 from .rabi import RabiParams, rabi_survival_closed_form, rabi_survival_oracle
 from .spectrum import energy_decomposition
@@ -72,10 +72,7 @@ class SweepConfig:
     def to_json_dict(self) -> dict:
         return {
             "base": self.base.to_json_dict(),
-            "axes": [
-                {"name": a.name, "start": a.start, "stop": a.stop, "samples": a.samples}
-                for a in self.axes
-            ],
+            "axes": [asdict(a) for a in self.axes],
             "quantity": self.quantity,
             "oracle": self.oracle,
         }
@@ -86,18 +83,22 @@ class SweepConfig:
             # a key this does not read would otherwise be ignored silently
             known = [(d, ("base", "axes", "quantity", "oracle")),
                      (d["base"], [f.name for f in fields(ModelParams)])]
-            known += [(a, ("name", "start", "stop", "samples")) for a in d["axes"]]
+            known += [(a, [f.name for f in fields(AxisSpec)]) for a in d["axes"]]
             unknown = sorted(k for obj, keys in known for k in set(obj) - set(keys))
             if unknown:
                 raise ConfigError(f"unknown keys {unknown}")
+            # JSON types are checked, not coerced: bool("false") is True
+            oracle, samples = d.get("oracle", False), [a["samples"] for a in d["axes"]]
+            if type(oracle) is not bool or any(type(n) is not int for n in samples):
+                raise TypeError(f"need a boolean oracle and integer samples: {oracle!r}, {samples}")
             return SweepConfig(
                 base=ModelParams.from_json_dict(d["base"]),
                 axes=tuple(
-                    AxisSpec(a["name"], float(a["start"]), float(a["stop"]), int(a["samples"]))
-                    for a in d["axes"]
+                    AxisSpec(a["name"], json_number(a["start"]), json_number(a["stop"]), n)
+                    for a, n in zip(d["axes"], samples)
                 ),
                 quantity=d["quantity"],
-                oracle=bool(d.get("oracle", False)),
+                oracle=oracle,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed sweep config: {exc}") from exc

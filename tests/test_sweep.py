@@ -35,6 +35,18 @@ def small_cfg(**kw):
     return SweepConfig(**defaults)
 
 
+def edited_config(tmp_path, where, key, value) -> str:
+    """Path of small_cfg's JSON with obj[key] = value, obj reached by the keys in where."""
+    d = small_cfg().to_json_dict()
+    obj = d
+    for k in where:
+        obj = obj[k]
+    obj[key] = value
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(d))
+    return str(cfgfile)
+
+
 class TestConfig:
     def test_bad_quantity(self):
         with pytest.raises(ConfigError):
@@ -296,11 +308,19 @@ class TestCli:
     )
     def test_unknown_config_key_is_config_error(self, where, key, value, tmp_path):
         # a key the config does not read fails instead of being ignored
-        d = small_cfg().to_json_dict()
-        obj = d
-        for k in where:
-            obj = obj[k]
-        obj[key] = value
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(d))
-        assert cli_main(["populations", "--config", str(cfgfile)]) == 2
+        cfgfile = edited_config(tmp_path, where, key, value)
+        assert cli_main(["populations", "--config", cfgfile]) == 2
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [((), "oracle", "false"), ((), "oracle", 1), (("axes", 0), "samples", 2.9),
+         (("axes", 0), "samples", True), (("axes", 0), "samples", "3"),
+         (("base",), "A", True), (("base",), "Delta", "2.0"), (("axes", 0), "start", "-1"),
+         (("axes", 0), "stop", False)],
+        ids=["oracle-string", "oracle-int", "samples-float", "samples-bool", "samples-string",
+             "base-bool", "base-string", "start-string", "stop-bool"],
+    )
+    def test_config_value_of_wrong_type_is_config_error(self, where, key, value, tmp_path):
+        # JSON types are checked, not coerced: bool("false") would turn the oracle on
+        cfgfile = edited_config(tmp_path, where, key, value)
+        assert cli_main(["populations", "--config", cfgfile]) == 2
