@@ -229,16 +229,15 @@ def tricomi_u(mu, gamma, z) -> complex:
         return 1.0 + 0.0j  # terminating series, any gamma and z
     if z == 0:
         raise DomainError("U(mu, gamma, 0) not evaluated (generically singular at z = 0)")
-    series = _tricomi_connection
     gr = round(gamma.real)
-    if abs(gamma.imag) <= _INT_TOL and abs(gamma.real - gr) < 10 * INTEGER_OFFSET:
-        series = None
-        if abs(z) <= TAYLOR_RADIUS:
-            # degenerate (logarithmic) case: symmetric offset cancels the O(h) term
-            h = INTEGER_OFFSET
-            up, _ = _tricomi_connection(mu, complex(gr + h, gamma.imag), z)
-            dn, _ = _tricomi_connection(mu, complex(gr - h, gamma.imag), z)
-            return 0.5 * (up + dn)
+    int_gamma = abs(gamma.imag) <= _INT_TOL and abs(gamma.real - gr) < 10 * INTEGER_OFFSET
+    if int_gamma and abs(z) <= TAYLOR_RADIUS:
+        # degenerate (logarithmic) case: symmetric offset cancels the O(h) term
+        h = INTEGER_OFFSET
+        up, _ = _tricomi_connection(mu, complex(gr + h, gamma.imag), z)
+        dn, _ = _tricomi_connection(mu, complex(gr - h, gamma.imag), z)
+        return 0.5 * (up + dn)
+    series = None if int_gamma else _tricomi_connection
     return _route("U", series, _tricomi_asymptotic_raw, mu, gamma, z)
 
 

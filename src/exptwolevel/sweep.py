@@ -100,7 +100,7 @@ class SweepConfig:
                 quantity=d["quantity"],
                 oracle=oracle,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed sweep config: {exc}") from exc
 
 

@@ -190,7 +190,7 @@ class TestDomain:
     def test_tricomi_missing_target_raises(self):
         # both routes miss ACCURACY_TARGET here (true value
         # -0.01135884833280571 - 0.022769411168428195j, 60 digits): the
-        # connection's estimate is 6e-6, so no value is returned
+        # connection estimates 6e-6 and the asymptotic series 2e-5
         with pytest.raises(AccuracyError) as info:
             tricomi_u(
                 1.2029718292593041 + 0.7780925882868193j,

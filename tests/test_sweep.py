@@ -316,9 +316,9 @@ class TestCli:
         [((), "oracle", "false"), ((), "oracle", 1), (("axes", 0), "samples", 2.9),
          (("axes", 0), "samples", True), (("axes", 0), "samples", "3"),
          (("base",), "A", True), (("base",), "Delta", "2.0"), (("axes", 0), "start", "-1"),
-         (("axes", 0), "stop", False)],
+         (("axes", 0), "stop", False), (("base",), "beta", 10**400)],
         ids=["oracle-string", "oracle-int", "samples-float", "samples-bool", "samples-string",
-             "base-bool", "base-string", "start-string", "stop-bool"],
+             "base-bool", "base-string", "start-string", "stop-bool", "base-int-beyond-float"],
     )
     def test_config_value_of_wrong_type_is_config_error(self, where, key, value, tmp_path):
         # JSON types are checked, not coerced: bool("false") would turn the oracle on
