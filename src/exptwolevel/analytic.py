@@ -77,7 +77,6 @@ class PropagatorMatrix:
     u12: complex
     u21: complex
     u22: complex
-    t0: float
     t: float
 
     def as_array(self) -> np.ndarray:
@@ -107,8 +106,6 @@ class PopulationRecord:
     p12_mod2: float
     p22_mod2: float
     norm: float
-    t0: float
-    t: float
 
 
 def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
@@ -171,7 +168,7 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
     d = derived_params(p)
     if d.c == 0:
         ph = gauge_factor(p, t0, t)
-        return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t0=t0, t=t)
+        return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t=t)
     x0 = x_of_t(p, t0)
     b0 = basis_solutions(d, x0)
     bt = basis_solutions(d, x_of_t(p, t))
@@ -188,7 +185,6 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
         u12=s * (bt.v2 * b0.u2 - bt.u2 * b0.v2),
         u21=s * (bt.u1 * b0.v1 - bt.v1 * b0.u1),
         u22=s * (bt.v1 * b0.u2 - bt.u1 * b0.v2),
-        t0=t0,
         t=t,
     )
 
@@ -205,6 +201,4 @@ def populations(p: ModelParams, t0: float, t: float) -> PopulationRecord:
         p12_mod2=p12,
         p22_mod2=p22,
         norm=p12 + p22,
-        t0=t0,
-        t=t,
     )

@@ -23,7 +23,7 @@ from .errors import ConfigError, DomainError
 from .model import AxisSpec, ModelParams
 from .oracle import IntegratorConfig, integrate_tdse_batch
 from .specfun import kummer_m, tricomi_u, wronskian_residual
-from .sweep import FORMATS, SweepConfig, _figure_config, emit, run_sweep
+from .sweep import FIGURES, FORMATS, QUANTITIES, SweepConfig, _figure_config, emit, run_sweep
 
 _BASE_DEFAULTS = {"A": 2.0, "alpha": 1.0, "beta": 0.0, "epsilon": 0.2,
                   "Delta": 0.5, "t0": 0.0, "t1": 5.0}
@@ -150,12 +150,12 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for q in ("populations", "amplitudes", "spectrum", "rabi", "interferogram"):
+    for q in QUANTITIES:
         sp = sub.add_parser(q, help=f"sweep the {q} quantity over 1 or 2 axes")
         _add_sweep_args(sp)
 
     fig = sub.add_parser("figure", help="run a built-in figure dataset (2-7)")
-    fig.add_argument("number", type=int, choices=(2, 3, 4, 5, 6, 7))
+    fig.add_argument("number", type=int, choices=tuple(FIGURES))
     fig.add_argument("--format", choices=FORMATS, default="csv")
     fig.add_argument("--output", default=None)
     fig.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)

@@ -41,6 +41,8 @@ class AxisSpec:
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError("axis needs at least one sample")
+        if not math.isfinite(self.stop - self.start):
+            raise DomainError(f"axis {self.name} needs a finite span: {self.start}..{self.stop}")
 
     def values(self) -> list[float]:
         if self.samples == 1:
@@ -62,9 +64,7 @@ class ModelParams:
     t1: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        require_finite(self)
         if self.alpha == 0.0:
             raise DomainError("alpha must be nonzero (x = exp(alpha t + beta) degenerates)")
         if not self.t0 < self.t1:
@@ -94,6 +94,13 @@ class DerivedParams:
     gamma: complex
 
 
+def require_finite(params) -> None:
+    """Raise DomainError unless every field of a parameter record is finite."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def json_number(value) -> float:
     """A JSON number as float; a bool or a string is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -103,6 +110,8 @@ def json_number(value) -> float:
 
 def _checked_exponent(p: ModelParams, t: float) -> float:
     w = p.alpha * t + p.beta
+    if math.isnan(w):  # alpha and beta are finite, so t is NaN
+        raise DomainError(f"time must be a number, got t = {t}")
     if abs(w) > _EXP_LIMIT:
         raise ExponentOverflowError(w)
     return w
@@ -125,7 +134,7 @@ def x_of_t(p: ModelParams, t: float) -> float:
 
 def t_of_x(p: ModelParams, x: float) -> float:
     """Inverse of x_of_t; requires x > 0."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"t_of_x requires x > 0, got x={x}")
     return (math.log(x) - p.beta) / p.alpha
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .model import ModelParams
+from .model import ModelParams, require_finite
 from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse_batch
 from .analytic import PopulationRecord
 
@@ -38,6 +38,9 @@ class RabiParams:
     epsilon: float
     Delta: float
     t: float
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,6 @@ def rabi_survival_oracle(r: RabiParams) -> PopulationRecord:
         p12_mod2=p_trans,
         p22_mod2=p_surv,
         norm=p_surv + p_trans,
-        t0=0.0,
-        t=r.t,
     )
 
 
@@ -109,7 +110,7 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
     scales linearly with that magnitude for a fixed window.
     """
     mag = abs(p.A) * math.exp(p.alpha * t_probe + p.beta)
-    if p.epsilon == 0 or mag >= RABI_LIMIT_THRESHOLD * abs(p.epsilon):
+    if p.epsilon == 0 or not mag < RABI_LIMIT_THRESHOLD * abs(p.epsilon):  # NaN t_probe too
         raise DomainError(
             f"exponential term magnitude {mag:.3e} is not below "
             f"{RABI_LIMIT_THRESHOLD} * |epsilon| = {RABI_LIMIT_THRESHOLD * abs(p.epsilon):.3e} "

@@ -21,6 +21,7 @@ NaN values and a nonzero error code (1 = domain, 2 = degenerate basis,
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
@@ -114,7 +115,7 @@ class Dataset:
 def _error_code(exc: Exception) -> int:
     if isinstance(exc, (DegeneracyError,)):
         return 2
-    if isinstance(exc, (DomainError,)):  # PoleError and ConfigError subclass these
+    if isinstance(exc, (DomainError,)):  # PoleError subclasses it; ConfigError is a ValueError
         return 1
     if isinstance(exc, (AccuracyError, ExponentOverflowError, OverflowError)):
         return 3
@@ -132,19 +133,18 @@ def _grid_points(cfg: SweepConfig):
     ]
 
 
-def _apply_point(base: ModelParams, pt: dict):
-    """Split a grid point into a ModelParams override and an end time."""
-    t_end = pt.get("t", base.t1)
-    overrides = {k: v for k, v in pt.items() if k != "t"}
-    q = replace(base, **overrides) if overrides else base
-    if t_end <= q.t0:
-        raise DomainError(f"sample time t = {t_end} must exceed t0 = {q.t0}")
-    if t_end != q.t1:
-        q = replace(q, t1=float(t_end))
-    return q, float(t_end)
+def _apply_point(cfg: SweepConfig, pt: dict):
+    """Split a grid point into its ModelParams and its time (t1 without a t
+    axis).  A quantity that propagates from t0 needs a time past t0; an
+    instantaneous one takes any time."""
+    q = replace(cfg.base, **{k: v for k, v in pt.items() if k != "t"})
+    t = float(pt.get("t", cfg.base.t1))
+    if QUANTITIES[cfg.quantity].propagates and not t > q.t0:
+        raise DomainError(f"sample time t = {t} must exceed t0 = {q.t0}")
+    return q, t
 
 
-def _oracle_finals(base: ModelParams, pts: list) -> list:
+def _oracle_finals(cfg: SweepConfig, pts: list) -> list:
     """Final (c1, c2) from the ODE oracle for each grid point, None where
     the point itself is invalid, or the AccuracyError of a point whose
     oracle run fails.
@@ -157,24 +157,25 @@ def _oracle_finals(base: ModelParams, pts: list) -> list:
     valid = []
     for i, pt in enumerate(pts):
         try:
-            valid.append((i, *_apply_point(base, pt)))
+            valid.append((i, *_apply_point(cfg, pt)))
         except DomainError:  # the row is flagged when the point is evaluated
             continue
     finals = [None] * len(pts)
     if not valid:
         return finals
+    t0 = cfg.base.t0
     times = sorted({t_end for _, _, t_end in valid})
     slot = {t_end: k for k, t_end in enumerate(times)}
     try:
         samples = integrate_tdse_batch(
-            [q for _, q, _ in valid], (0.0, 1.0), base.t0, times[-1], _ORACLE_CFG, t_eval=times
+            [q for _, q, _ in valid], (0.0, 1.0), t0, times[-1], _ORACLE_CFG, t_eval=times
         )
         ends = [samples[slot[t_end], row] for row, (_, _, t_end) in enumerate(valid)]
     except AccuracyError:
         ends = []
         for _, q, t_end in valid:
             try:
-                ends.append(integrate_tdse_batch([q], (0.0, 1.0), base.t0, t_end, _ORACLE_CFG)[0])
+                ends.append(integrate_tdse_batch([q], (0.0, 1.0), t0, t_end, _ORACLE_CFG)[0])
             except AccuracyError as exc:
                 ends.append(exc)
     for (i, _, _), end in zip(valid, ends):
@@ -182,17 +183,9 @@ def _oracle_finals(base: ModelParams, pts: list) -> list:
     return finals
 
 
-def _rabi_params(cfg: SweepConfig, pt: dict) -> RabiParams:
-    return RabiParams(
-        epsilon=pt.get("epsilon", cfg.base.epsilon),
-        Delta=pt.get("Delta", cfg.base.Delta),
-        t=pt.get("t", cfg.base.t1),
-    )
-
-
 def _populations_point(cfg, pt, final):
-    q, t_end = _apply_point(cfg.base, pt)
-    rec = populations(q, q.t0, t_end)
+    q, t = _apply_point(cfg, pt)
+    rec = populations(q, q.t0, t)
     vals = [rec.p12_paper, rec.p22_paper, rec.p12_mod2, rec.p22_mod2, rec.norm]
     if cfg.oracle:
         o12, o22 = abs(final[0]) ** 2, abs(final[1]) ** 2
@@ -201,8 +194,8 @@ def _populations_point(cfg, pt, final):
 
 
 def _amplitudes_point(cfg, pt, final):
-    q, t_end = _apply_point(cfg.base, pt)
-    a = amplitudes(q, AmplitudePair(0.0, 1.0, q.t0), t_end)
+    q, t = _apply_point(cfg, pt)
+    a = amplitudes(q, AmplitudePair(0.0, 1.0, q.t0), t)
     vals = [a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm]
     if cfg.oracle:
         o1, o2 = final
@@ -211,13 +204,15 @@ def _amplitudes_point(cfg, pt, final):
 
 
 def _spectrum_point(cfg, pt, final):
-    q, t_end = _apply_point(cfg.base, pt)
-    d = energy_decomposition(q, t_end)
+    d = energy_decomposition(*_apply_point(cfg, pt))
     return [d.re_plus, d.im_plus, d.re_minus, d.im_minus, d.phi, d.z_mag]
 
 
 def _rabi_point(cfg, pt, final):
-    r = _rabi_params(cfg, pt)
+    # closed-form transfer (both conventions), then the oracle's survival,
+    # its transfer and their deviation; an interferogram keeps the survival
+    b = cfg.base
+    r = RabiParams(pt.get("epsilon", b.epsilon), pt.get("Delta", b.Delta), pt.get("t", b.t1))
     cf = rabi_survival_closed_form(r)
     vals = [cf.real_part, cf.modulus]
     if cfg.oracle:
@@ -226,23 +221,13 @@ def _rabi_point(cfg, pt, final):
     return vals
 
 
-def _interferogram_point(cfg, pt, final):
-    # closed-form transfer (both conventions) and the oracle's survival
-    r = _rabi_params(cfg, pt)
-    cf = rabi_survival_closed_form(r)
-    vals = [cf.real_part, cf.modulus]
-    if cfg.oracle:
-        vals.append(rabi_survival_oracle(r).p22_mod2)
-    return vals
-
-
 @dataclass(frozen=True)
 class _Quantity:
     axes: tuple  # names a sweep may vary
     columns: tuple  # value columns
     oracle_columns: tuple  # appended when the config asks for the oracle
-    point: Callable  # (cfg, grid point, DP45 final or None) -> values
-    dp45: bool = False  # the oracle columns need the batched DP45 finals
+    point: Callable  # (cfg, grid point, DP45 final or None) -> values, maybe more
+    propagates: bool = False  # from t0 to t > t0; oracle columns from the DP45 finals
     exact_axes: bool = False  # the sweep must vary exactly `axes`, in order
 
 
@@ -252,14 +237,14 @@ QUANTITIES = {
         ("p12_paper", "p22_paper", "p12_mod2", "p22_mod2", "norm"),
         ("oracle_p12_mod2", "oracle_p22_mod2", "deviation"),
         _populations_point,
-        dp45=True,
+        propagates=True,
     ),
     "amplitudes": _Quantity(
         _MODEL_AXES,
         ("re_c1", "im_c1", "re_c2", "im_c2", "norm"),
         ("oracle_re_c1", "oracle_im_c1", "oracle_re_c2", "oracle_im_c2", "deviation"),
         _amplitudes_point,
-        dp45=True,
+        propagates=True,
     ),
     "spectrum": _Quantity(
         _MODEL_AXES,
@@ -277,7 +262,7 @@ QUANTITIES = {
         ("t", "epsilon"),
         ("p_real", "p_modulus"),
         ("p_mod2_oracle",),
-        _interferogram_point,
+        _rabi_point,
         exact_axes=True,
     ),
 }
@@ -288,7 +273,7 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     names = [ax.name for ax in cfg.axes]
     values = list(quantity.columns) + list(quantity.oracle_columns if cfg.oracle else ())
     pts = _grid_points(cfg)
-    finals = _oracle_finals(cfg.base, pts) if cfg.oracle and quantity.dp45 else [None] * len(pts)
+    finals = _oracle_finals(cfg, pts) if cfg.oracle and quantity.propagates else [None] * len(pts)
     nan = float("nan")
     rows = []
     for pt, final in zip(pts, finals):
@@ -296,25 +281,16 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
         try:
             if isinstance(final, AccuracyError):
                 raise final
-            rows.append(prefix + quantity.point(cfg, pt, final) + [0])
+            rows.append(prefix + quantity.point(cfg, pt, final)[:len(values)] + [0])
         except Exception as exc:  # flagged row, sweep continues
             rows.append(prefix + [nan] * len(values) + [_error_code(exc)])
-    return _finish(cfg, names + values + ["error"], rows)
-
-
-def _finish(cfg: SweepConfig, columns, rows) -> Dataset:
     provenance = {
         "generator": f"exptwolevel {__version__}",
         "config": cfg.to_json_dict(),
-        "integrator": {
-            "rel_tol": _ORACLE_CFG.rel_tol,
-            "abs_tol": _ORACLE_CFG.abs_tol,
-        },
+        "integrator": {"rel_tol": _ORACLE_CFG.rel_tol, "abs_tol": _ORACLE_CFG.abs_tol},
         "specfun_accuracy_target": ACCURACY_TARGET,
     }
-    for row in rows:
-        assert len(row) == len(columns)
-    return Dataset(columns=list(columns), rows=rows, provenance=provenance)
+    return Dataset(columns=names + values + ["error"], rows=rows, provenance=provenance)
 
 
 def _fmt_value(v) -> str:
@@ -346,43 +322,37 @@ def emit(ds: Dataset, fmt: str, path=None) -> None:
             for row in ds.rows:
                 fh.write(",".join(_fmt_value(v) for v in row) + "\n")
         else:
-            json.dump(
-                {"provenance": ds.provenance, "columns": ds.columns, "rows": ds.rows},
-                fh,
-                indent=1,
-            )
+            # JSON has no NaN: a flagged row's cells are null
+            rows = [[v if math.isfinite(v) else None for v in row] for row in ds.rows]
+            json.dump({"provenance": ds.provenance, "columns": ds.columns, "rows": rows},
+                      fh, indent=1, allow_nan=False)
             fh.write("\n")
     finally:
         if close:
             fh.close()
 
 
-# Built-in figure sweeps.  Captions fix only some constants; the remaining
-# windows and resolutions are package defaults chosen for smooth curves.
-def _figure_config(n: int, oracle: bool = True) -> SweepConfig:
-    if n == 2:
-        base = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.0, Delta=0.5, t0=0.0, t1=3.0)
-        axes = (AxisSpec("epsilon", -2.0, 2.0, 201),)
-        return SweepConfig(base, axes, "populations", oracle=oracle)
-    if n == 3:
-        base = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.0, t0=0.0, t1=5.0)
-        axes = (AxisSpec("Delta", -2.0, 2.0, 201),)
-        return SweepConfig(base, axes, "populations", oracle=oracle)
-    if n == 4:
-        base = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.5, t0=0.0, t1=5.0)
-        axes = (AxisSpec("epsilon", -2.0, 2.0, 201),)
-        return SweepConfig(base, axes, "populations", oracle=oracle)
-    if n == 5:
-        base = ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.0, Delta=0.0, t0=0.0, t1=7.0)
-        axes = (AxisSpec("Delta", -3.0, 3.0, 121), AxisSpec("epsilon", 0.0, 4.0, 81))
-        return SweepConfig(base, axes, "spectrum", oracle=False)
-    if n == 6:
-        base = ModelParams(A=20.0, alpha=0.5, beta=0.0, epsilon=1.0, Delta=0.0, t0=0.0, t1=15.0)
-        axes = (AxisSpec("Delta", -3.0, 3.0, 121), AxisSpec("beta", -60.0, -20.0, 81))
-        return SweepConfig(base, axes, "spectrum", oracle=False)
-    if n == 7:
-        base = ModelParams(A=0.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.2, t0=-1.0, t1=0.0)
-        axes = (AxisSpec("t", 0.0, 10.0, 121), AxisSpec("epsilon", -2.0, 2.0, 81))
-        return SweepConfig(base, axes, "interferogram", oracle=oracle)
-    raise ConfigError(f"no built-in figure {n}; choose 2-7")
+# Built-in figure sweeps: (base, axes, quantity).  Captions fix only some
+# constants; the remaining windows and resolutions are package defaults chosen
+# for smooth curves.
+FIGURES = {
+    2: (ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.0, Delta=0.5, t0=0.0, t1=3.0),
+        (AxisSpec("epsilon", -2.0, 2.0, 201),), "populations"),
+    3: (ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.0, t0=0.0, t1=5.0),
+        (AxisSpec("Delta", -2.0, 2.0, 201),), "populations"),
+    4: (ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.5, t0=0.0, t1=5.0),
+        (AxisSpec("epsilon", -2.0, 2.0, 201),), "populations"),
+    5: (ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.0, Delta=0.0, t0=0.0, t1=7.0),
+        (AxisSpec("Delta", -3.0, 3.0, 121), AxisSpec("epsilon", 0.0, 4.0, 81)), "spectrum"),
+    6: (ModelParams(A=20.0, alpha=0.5, beta=0.0, epsilon=1.0, Delta=0.0, t0=0.0, t1=15.0),
+        (AxisSpec("Delta", -3.0, 3.0, 121), AxisSpec("beta", -60.0, -20.0, 81)), "spectrum"),
+    7: (ModelParams(A=0.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.2, t0=-1.0, t1=0.0),
+        (AxisSpec("t", 0.0, 10.0, 121), AxisSpec("epsilon", -2.0, 2.0, 81)), "interferogram"),
+}
 
+
+def _figure_config(n: int, oracle: bool = True) -> SweepConfig:
+    if n not in FIGURES:
+        raise ConfigError(f"no built-in figure {n}; choose from {tuple(FIGURES)}")
+    base, axes, quantity = FIGURES[n]
+    return SweepConfig(base, axes, quantity, oracle=oracle and quantity != "spectrum")

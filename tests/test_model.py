@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from exptwolevel.analytic import populations, propagator
 from exptwolevel.errors import DomainError, ExponentOverflowError
 from exptwolevel.model import (
+    AxisSpec,
     ModelParams,
     coupling,
     derived_params,
@@ -19,6 +21,8 @@ from exptwolevel.model import (
     t_of_x,
     x_of_t,
 )
+from exptwolevel.rabi import RabiParams, rabi_limit_convergence, rabi_survival_closed_form
+from exptwolevel.spectrum import energy_decomposition
 
 
 def hamiltonian(p, t):
@@ -49,6 +53,36 @@ class TestParams:
     def test_json_round_trip(self):
         q = ModelParams.from_json_dict(P.to_json_dict())
         assert q == P
+
+    @pytest.mark.parametrize("start, stop", [(math.nan, 1.0), (0.0, math.inf),
+                                             (-math.inf, 0.0), (-1e308, 1e308)],
+                             ids=["nan", "inf", "-inf", "span-overflow"])
+    def test_axis_span_must_be_finite(self, start, stop):
+        # a sample start + i * step would be NaN or infinite
+        with pytest.raises(DomainError):
+            AxisSpec("t", start, stop, 3)
+
+
+DECOUPLED = replace(P, epsilon=0.0, Delta=0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: propagator(P, 0.0, math.nan), lambda: propagator(P, math.nan, 1.0),
+     lambda: propagator(DECOUPLED, 0.0, math.nan), lambda: populations(P, 0.0, math.nan),
+     lambda: energy_decomposition(P, math.nan), lambda: x_of_t(P, math.nan),
+     lambda: detuning(P, math.nan), lambda: t_of_x(P, math.nan),
+     lambda: rabi_survival_closed_form(RabiParams(math.nan, 0.2, 1.0)),
+     lambda: RabiParams(0.2, 0.2, math.inf),
+     lambda: rabi_limit_convergence(replace(P, alpha=-1.0, beta=-20.0), math.nan)],
+    ids=["propagator-t", "propagator-t0", "propagator-decoupled", "populations",
+         "energy_decomposition", "x_of_t", "detuning", "t_of_x", "rabi-closed-form",
+         "rabi-params-inf", "rabi-limit-convergence"],
+)
+def test_non_finite_input_raises(call):
+    # a NaN time or parameter raises instead of returning NaN
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestHamiltonian:

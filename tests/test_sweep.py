@@ -149,6 +149,22 @@ class TestDelegation:
         assert codes[-1] == 0
         assert math.isnan(ds.rows[0][ds.columns.index("p22_mod2")])
 
+    def test_spectrum_takes_any_time(self):
+        # the spectrum is instantaneous, so times at or before t0 are evaluated;
+        # populations and amplitudes propagate from t0 and flag them (code 1)
+        axes = (AxisSpec("t", -1.0, 1.0, 3),)
+        ds = run_sweep(small_cfg(quantity="spectrum", axes=axes))
+        for row in ds.rows:
+            rec = dict(zip(ds.columns, row))
+            d = energy_decomposition(BASE, rec["t"])
+            assert rec["error"] == 0
+            assert [rec["re_e_plus"], rec["im_e_plus"], rec["re_e_minus"], rec["im_e_minus"],
+                    rec["phi"], rec["z_mag"]] == [d.re_plus, d.im_plus, d.re_minus,
+                                                  d.im_minus, d.phi, d.z_mag]
+        for quantity in ("populations", "amplitudes"):
+            ds = run_sweep(small_cfg(quantity=quantity, axes=axes))
+            assert [r[-1] for r in ds.rows] == [1, 1, 0]
+
     def test_oracle_failure_flags_only_its_row(self, tmp_path):
         # at beta = 400 the oracle overflows and fails the shared batch; each
         # point is then rerun alone, so only that row is flagged (code 3)
@@ -233,6 +249,18 @@ class TestEmit:
         assert again["rows"] == ds.rows
         assert again["provenance"] == json.loads(json.dumps(ds.provenance))
 
+    def test_json_flagged_cells_are_null(self, tmp_path):
+        # JSON has no NaN token: a strict parser reads a flagged row's cells as null
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        path = tmp_path / "out.json"
+        emit(run_sweep(small_cfg(axes=(AxisSpec("t", -1.0, 4.0, 3),))), "json", path)
+        rows = json.loads(path.read_text(), parse_constant=reject)["rows"]
+        assert [r[-1] for r in rows] == [1, 0, 0]
+        assert rows[0][1:-1] == [None] * 5
+        assert None not in rows[1]
+
     def test_empty_dataset(self, tmp_path):
         ds = Dataset(columns=["a", "b"], rows=[], provenance={"k": 1})
         path = tmp_path / "e.csv"
@@ -299,6 +327,18 @@ class TestCli:
                            "--output", str(tmp_path / name)])
             assert rc == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_non_finite_axis_bound_is_usage_error(self, bound, tmp_path):
+        # 0 * inf is NaN, so such an axis would sample NaN or infinite values
+        for argv in (["rabi", "--axis1", f"epsilon:{bound}:1:2", "--oracle"],
+                     ["interferogram", "--axis1", f"t:0:{bound}:2", "--axis2", "epsilon:0:1:2",
+                      "--oracle"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+        cfgfile = edited_config(tmp_path, ("axes", 0), "stop", float(bound))
+        assert cli_main(["populations", "--config", cfgfile]) == 2
 
     @pytest.mark.parametrize(
         "where, key, value",
