@@ -1,6 +1,9 @@
 """Numerical integrator: convergence order, conservation laws, linearity,
-batching, and the constant-Hamiltonian matrix exponential."""
+batching, pinned step counts and rows, and the constant-Hamiltonian matrix
+exponential."""
 
+import hashlib
+import io
 import time
 
 import numpy as np
@@ -8,13 +11,14 @@ import pytest
 
 import exptwolevel.oracle as oracle
 from exptwolevel.errors import AccuracyError, DomainError
-from exptwolevel.model import ModelParams, x_of_t
+from exptwolevel.model import AxisSpec, ModelParams, x_of_t
 from exptwolevel.oracle import (
     IntegratorConfig,
     constant_h_propagator,
     integrate_tdse_batch,
     transformed_ode_check,
 )
+from exptwolevel.sweep import SweepConfig, _figure_config, emit, run_sweep
 
 P_HERM = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.0, t0=-3.0, t1=2.0)
 P_FULL = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
@@ -25,6 +29,22 @@ INIT = (0.0, 1.0)  # at t = -3
 def final(p, init, t0, t1, cfg=TIGHT):
     """(c1, c2) at t1 of the trajectory through init at t0, as a batch of one."""
     return integrate_tdse_batch([p], init, t0, t1, cfg)[0]
+
+
+@pytest.fixture
+def step_counts(monkeypatch):
+    """(accepted, rejected) of every _dp45 run, in call order; the driver
+    counts its steps, integrate_tdse_batch returns only amplitudes."""
+    counts = []
+    dp45 = oracle._dp45
+
+    def counted(*args, **kwargs):
+        out = dp45(*args, **kwargs)
+        counts.append(out[1:])
+        return out
+
+    monkeypatch.setattr(oracle, "_dp45", counted)
+    return counts
 
 
 class TestConservation:
@@ -39,20 +59,10 @@ class TestConservation:
         c1, c2 = final(q, INIT, -3.0, 2.0)
         assert abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-3
 
-    def test_counters(self, monkeypatch):
-        # the driver counts its steps; integrate_tdse_batch returns only amplitudes
-        counts = []
-        dp45 = oracle._dp45
-
-        def counted(*args, **kwargs):
-            out = dp45(*args, **kwargs)
-            counts.append(out[1:])
-            return out
-
-        monkeypatch.setattr(oracle, "_dp45", counted)
+    def test_counters(self, step_counts):
         final(P_HERM, INIT, -3.0, 2.0)
         final(P_HERM, INIT, -3.0, 2.0, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
-        (tight_acc, tight_rej), (loose_acc, loose_rej) = counts
+        (tight_acc, tight_rej), (loose_acc, loose_rej) = step_counts
         assert tight_acc > loose_acc > 0
         assert tight_rej >= 0 and loose_rej >= 0
 
@@ -118,6 +128,35 @@ class TestBatch:
         with pytest.raises(AccuracyError):
             integrate_tdse_batch(params, (0.0, 1.0), 0.0, 1.0)
         assert time.monotonic() - start < 5.0
+
+
+class TestPinnedRuns:
+    """Step counts and rows of the batched oracle at fixed inputs.  A change
+    to the integrator's arithmetic that moves any bit shows up here; the
+    figure goldens of criterion 7 cover only the single-end-time path."""
+
+    # SHA-256 of the CSV body (lines not starting with "#") of the t-scan
+    # sweep: amplitudes over t 0.2..4 (20) x Delta -1.5..1.5 (7) at the
+    # figure-3 base, oracle on, so the batch is sampled at 20 end times.
+    # Recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+    TSCAN_DIGEST = "0f1ecfd165c52cb4b55b44395fb245c52f46a26b6c9473290ece03a8128094d9"
+
+    def test_tscan_rows_and_steps(self, step_counts):
+        cfg = SweepConfig(
+            _figure_config(3).base, (AxisSpec("t", 0.2, 4.0, 20), AxisSpec("Delta", -1.5, 1.5, 7)),
+            "amplitudes", oracle=True,
+        )
+        buf = io.StringIO()
+        emit(run_sweep(cfg), "csv", buf)
+        body = "".join(
+            line for line in buf.getvalue().splitlines(keepends=True) if not line.startswith("#")
+        )
+        assert hashlib.sha256(body.encode()).hexdigest() == self.TSCAN_DIGEST
+        assert step_counts == [(2325, 0)]
+
+    def test_figure3_steps(self, step_counts):
+        run_sweep(_figure_config(3))
+        assert step_counts == [(6293, 1)]
 
 
 class TestConstantPropagator:
