@@ -11,10 +11,18 @@ seconds), (b) the driver counts accepted and rejected steps, and (c)
 results are bitwise deterministic for fixed inputs.  `integrate_tdse_batch`
 is the one entry point for the Schroedinger equation; a single trajectory
 is a batch of one.
+
+A batch state holds a few hundred numbers, so a step costs numpy calls, not
+arithmetic.  The seven stages live as rows of one (7, size) array, and each
+stage input and the error estimate is one dot of a tableau row with those
+rows; the exponential coefficient is evaluated at all seven stage times of a
+step in one call.  The tests pin step counts and sampled rows by digest, so
+a change to this arithmetic that moves any bit shows there.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,22 +31,22 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .model import ModelParams, derived_params, omega_integral, t_of_x
 
-# Dormand-Prince 4(5) tableau (FSAL, 7 stages)
+# Dormand-Prince 4(5) tableau (FSAL, 7 stages); complex _A and _ERR cast nothing per dot
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_A = [np.array(row, dtype=complex) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_ERR = _B5 - _B4
+_ERR = (_B5 - _B4).astype(complex)
 
 # the step never exceeds this fraction of the exponential's e-folding time 1/|alpha|
 STEP_CAP = 0.1
@@ -58,31 +66,36 @@ class IntegratorConfig:
             raise DomainError("integrator tolerances must be positive")
 
 
-def _dp45(f, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
+def _dp45(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
     """Generic batched DP45 driver.
 
-    ``y0`` may have any shape; the error norm is the max over all entries.
-    Steps are shortened to land exactly on ``t_eval`` points (and on t1),
-    so sampling is exact rather than interpolated.  Supports t1 < t0.
-    Returns (samples, accepted, rejected), samples of shape
-    (len(t_eval),) + y0.shape.
+    ``rhs(ts)`` takes the stage times of one step and returns ``f`` with
+    ``f(i, y)`` the derivative at ``ts[i]``, so coefficients that depend on
+    time alone are formed once per step.  ``y0`` may have any shape; the
+    error norm is the max over all entries.  Steps are shortened to land
+    exactly on ``t_eval`` points (and on t1), so sampling is exact rather
+    than interpolated.  Supports t1 < t0.  Returns (samples, accepted,
+    rejected), samples of shape (len(t_eval),) + y0.shape.
     """
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
-    if span == 0.0:
-        return np.broadcast_to(y0, (len(t_eval),) + np.shape(y0)).astype(complex), 0, 0
-
+    if not math.isfinite(span):
+        raise DomainError(f"integration window [{t0}, {t1}] is not finite")
     targets = sorted(((float(t), i) for i, t in enumerate(t_eval)), key=lambda p: direction * p[0])
     for tt, _ in targets:
-        if (tt - t0) * direction < -1e-12 * span or (t1 - tt) * direction < -1e-12 * span:
+        # written so that a NaN sample time fails it too
+        if not ((tt - t0) * direction >= -1e-12 * span and (t1 - tt) * direction >= -1e-12 * span):
             raise DomainError(f"sample time {tt} outside integration window [{t0}, {t1}]")
+    if span == 0.0:
+        return np.broadcast_to(y0, (len(t_eval),) + np.shape(y0)).astype(complex), 0, 0
     samples = np.empty((len(targets),) + np.shape(y0), dtype=complex)
     next_target = 0
 
     y = np.array(y0, dtype=complex)
     t = float(t0)
     k = np.empty((7,) + y.shape, dtype=complex)
-    k[0] = f(t, y)
+    flat = k.reshape(7, -1)  # the stages as rows: every stage sum is one dot
+    k[0] = rhs(np.array([t]))(0, y)
     h = direction * min(max_step, span / 100.0, 1e-2)
     accepted = rejected = 0
 
@@ -97,13 +110,13 @@ def _dp45(f, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
         # controller's natural step size
         clipped = (t + h - limit) * direction > 0
         h_try = limit - t if clipped else h
-        for i in range(1, 7):
-            yi = y + h_try * np.tensordot(_A[i], k[:i], axes=(0, 0))
-            k[i] = f(t + _C[i] * h_try, yi)
-        y5 = y + h_try * np.tensordot(_B5, k, axes=(0, 0))
-        err_vec = h_try * np.tensordot(_ERR, k, axes=(0, 0))
+        f = rhs(t + _C * h_try)
+        for i in range(1, 7):  # row 6 of _A is _B5, so the last stage input is y5
+            y5 = y + h_try * (_A[i] @ flat[:i]).reshape(y.shape)
+            k[i] = f(i, y5)
+        err_vec = h_try * (_ERR @ flat).reshape(y.shape)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(err_vec) / scale)) if y5.size else 0.0
+        err = float((np.abs(err_vec) / scale).max())
         if math.isnan(err):
             err = math.inf  # overflowed stages: reject and shrink the step the most
         if err <= 1.0:
@@ -141,34 +154,36 @@ def integrate_tdse_batch(
     Returns the final amplitudes, shape (n_points, 2), or with ``t_eval``
     the amplitudes at those times, shape (len(t_eval), n_points, 2).
     """
-    n = len(params)
+    if not params:
+        raise DomainError("the oracle batch holds no parameter points")
     A = np.array([q.A for q in params])
     alpha = np.array([q.alpha for q in params])
     beta = np.array([q.beta for q in params])
     eps = np.array([q.epsilon for q in params])
-    delta = 0.5 * (eps + 1j * np.array([q.Delta for q in params]))
+    delta = 0.5 * (eps + 1j * np.array([q.Delta for q in params]))[:, None]
 
-    def f(t, y):
-        om = 0.5 * (A * np.exp(alpha * t + beta) + eps)
-        out = np.empty_like(y)
-        out[:, 0] = -1j * (om * y[:, 0] + delta * y[:, 1])
-        out[:, 1] = -1j * (delta * y[:, 0] - om * y[:, 1])
-        return out
+    def rhs(ts):
+        # columns (om, -om) at every stage time: dC/dt = -i (om C + delta C[::-1])
+        om = 0.5 * (A * np.exp(alpha * ts[:, None] + beta) + eps)[..., None]
+        om = np.concatenate((om, -om), axis=-1)
+        return lambda i, y: -1j * (om[i] * y + delta * y[:, ::-1])
 
-    y0 = np.broadcast_to(np.asarray(init, dtype=complex), (n, 2)).copy()
+    y0 = np.broadcast_to(np.asarray(init, dtype=complex), (len(params), 2)).copy()
     max_step = float(STEP_CAP / np.max(np.abs(alpha)))
     # an overflowing point makes a NaN error norm, which the controller
     # rejects until it raises AccuracyError, so numpy's warnings say nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        samples, _, _ = _dp45(f, t0, t1, y0, cfg, max_step, [t1] if t_eval is None else t_eval)
+        samples, _, _ = _dp45(rhs, t0, t1, y0, cfg, max_step, [t1] if t_eval is None else t_eval)
     return samples[0] if t_eval is None else samples
 
 
 def constant_h_propagator(H, dt: float) -> np.ndarray:
     """exp(-i H dt) for traceless 2x2 H via the closed rho-formula."""
     H = np.asarray(H, dtype=complex)
-    rho = np.lib.scimath.sqrt(H[0, 0] * H[0, 0] + H[0, 1] * H[1, 0]) + 0j
-    w = rho * dt
+    rho = np.sqrt(H[0, 0] * H[0, 0] + H[0, 1] * H[1, 0]) + 0j  # the principal root: H is complex
+    w = complex(rho) * dt  # Python arithmetic: an infinite dt gives NaN without a warning
+    if not cmath.isfinite(w):
+        raise DomainError(f"rotation angle {w} of exp(-i H dt) is not finite (dt = {dt})")
     if abs(w) < 1e-6:
         # sin(w)/rho -> dt * (1 - w^2/6 + w^4/120)
         sinc = dt * (1.0 - w * w / 6.0 * (1.0 - w * w / 20.0))
@@ -202,7 +217,7 @@ def transformed_ode_check(p: ModelParams, x0: float, x1: float,
     # initial state C(t(x0)) = (0, 1): psi = 1, x psi' = -i c C1 = 0
     u0 = np.array([1.0, 0.0], dtype=complex)
     xs = np.linspace(x0, x1, TRANSFORMED_SAMPLES)
-    samp_x, _, _ = _dp45(f, x0, x1, u0, cfg, math.inf, xs)
+    samp_x, _, _ = _dp45(lambda xs: lambda i, u: f(xs[i], u), x0, x1, u0, cfg, math.inf, xs)
     ts = np.array([t_of_x(p, float(x)) for x in xs])
     t_init = float(ts[0])
     samp_t = integrate_tdse_batch([p], (0.0, 1.0), t_init, float(ts[-1]), cfg, t_eval=ts)

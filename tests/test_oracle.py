@@ -4,6 +4,7 @@ exponential."""
 
 import hashlib
 import io
+import math
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ P_HERM = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.0, t0=-3.0
 P_FULL = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 INIT = (0.0, 1.0)  # at t = -3
+NAN = float("nan")
 
 
 def final(p, init, t0, t1, cfg=TIGHT):
@@ -108,6 +110,22 @@ class TestAccuracy:
         with pytest.raises(DomainError):
             integrate_tdse_batch([P_FULL], (0.0, 1.0), P_FULL.t0, P_FULL.t1, TIGHT, t_eval=[99.0])
 
+    @pytest.mark.parametrize(
+        "t0, t1, t_eval",
+        [
+            (NAN, 1.0, None),
+            (0.0, NAN, None),
+            (0.0, math.inf, None),
+            (0.0, 1.0, [0.5, NAN, 0.8]),
+            (1.0, 1.0, [2.0]),  # an empty window still checks its sample times
+        ],
+        ids=["nan-t0", "nan-t1", "inf-t1", "nan-sample", "empty-window-sample"],
+    )
+    def test_invalid_window_rejected(self, t0, t1, t_eval):
+        # each of these used to return unwritten or wrong samples, or AccuracyError
+        with pytest.raises(DomainError):
+            integrate_tdse_batch([P_FULL], (0.0, 1.0), t0, t1, TIGHT, t_eval=t_eval)
+
 
 class TestBatch:
     def test_batch_matches_single(self):
@@ -128,6 +146,11 @@ class TestBatch:
         with pytest.raises(AccuracyError):
             integrate_tdse_batch(params, (0.0, 1.0), 0.0, 1.0)
         assert time.monotonic() - start < 5.0
+
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_tdse_batch([], (0.0, 1.0), 0.0, 1.0)
 
 
 class TestPinnedRuns:
@@ -167,6 +190,20 @@ class TestConstantPropagator:
         for dt in (0.3, 2.0, 7.5):
             u = constant_h_propagator(h, dt)
             assert np.max(np.abs(u - expm(-1j * h * dt))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "h, dt",
+        [
+            (np.eye(2), NAN),
+            (np.eye(2), math.inf),  # with no "invalid value" RuntimeWarning first
+            (np.array([[NAN, 0.2], [0.2, -0.4]]), 1.0),
+            (np.array([[0.4, 0.2], [NAN, -0.4]]), 1.0),
+        ],
+        ids=["nan-dt", "inf-dt", "nan-diagonal", "nan-coupling"],
+    )
+    def test_non_finite_angle_rejected(self, h, dt):
+        with pytest.raises(DomainError):
+            constant_h_propagator(h, dt)
 
     def test_small_angle_limit(self):
         h = np.array([[1e-9, 1e-9], [1e-9, -1e-9]], dtype=complex)
