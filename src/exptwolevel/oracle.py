@@ -217,7 +217,7 @@ def transformed_ode_check(p: ModelParams, x0: float, x1: float,
     # initial state C(t(x0)) = (0, 1): psi = 1, x psi' = -i c C1 = 0
     u0 = np.array([1.0, 0.0], dtype=complex)
     xs = np.linspace(x0, x1, TRANSFORMED_SAMPLES)
-    samp_x, _, _ = _dp45(lambda xs: lambda i, u: f(xs[i], u), x0, x1, u0, cfg, math.inf, xs)
+    samp_x, _, _ = _dp45(lambda xi: lambda i, u: f(xi[i], u), x0, x1, u0, cfg, math.inf, xs)
     ts = np.array([t_of_x(p, float(x)) for x in xs])
     t_init = float(ts[0])
     samp_t = integrate_tdse_batch([p], (0.0, 1.0), t_init, float(ts[-1]), cfg, t_eval=ts)

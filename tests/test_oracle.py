@@ -122,7 +122,7 @@ class TestAccuracy:
         ids=["nan-t0", "nan-t1", "inf-t1", "nan-sample", "empty-window-sample"],
     )
     def test_invalid_window_rejected(self, t0, t1, t_eval):
-        # each of these used to return unwritten or wrong samples, or AccuracyError
+        # a typed input error, not unwritten samples or a step-size AccuracyError
         with pytest.raises(DomainError):
             integrate_tdse_batch([P_FULL], (0.0, 1.0), t0, t1, TIGHT, t_eval=t_eval)
 
@@ -146,7 +146,6 @@ class TestBatch:
         with pytest.raises(AccuracyError):
             integrate_tdse_batch(params, (0.0, 1.0), 0.0, 1.0)
         assert time.monotonic() - start < 5.0
-
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
