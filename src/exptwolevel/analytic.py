@@ -33,12 +33,7 @@ import numpy as np
 
 from .errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from .model import DerivedParams, ModelParams, derived_params, omega_integral, x_of_t
-from .specfun import (
-    kummer_m,
-    ln_gamma_complex,
-    tricomi_u,
-    _nonpositive_int,
-)
+from .specfun import _nonpositive_int, _tricomi_u, kummer_m, ln_gamma_complex
 
 # largest |numeric/closed-form basis determinant - 1| a propagator is returned at
 BASIS_RESIDUAL_LIMIT = 1e-8
@@ -116,10 +111,11 @@ def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
         raise DegeneracyError("zero coupling: the system is diagonal, no basis needed")
     mu, g, z = d.mu1, d.gamma, d.b * x
     xpow = cmath.exp(mu * math.log(x))
+    # each U's connection formula takes the M already summed at its point
     m0 = kummer_m(mu, g, z)
-    u0 = tricomi_u(mu, g, z)
+    u0 = _tricomi_u(mu, g, z, m0)
     m1 = kummer_m(mu + 1, g + 1, z)
-    u1p = tricomi_u(mu + 1, g + 1, z)
+    u1p = _tricomi_u(mu + 1, g + 1, z, m1)
     pref = 1j * mu / d.c
     return BasisSolutions(
         u1=xpow * m0,
@@ -165,12 +161,25 @@ def amplitudes(p: ModelParams, init: AmplitudePair, t: float) -> AmplitudePair:
 
 def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
     """Exact evolution matrix U(t, t0) with U(t0, t0) = identity."""
+    return _propagator_end(*_propagator_start(p, t0), t)
+
+
+def _propagator_start(p: ModelParams, t0: float) -> tuple:
+    """What `propagator` needs of t0 alone: (p, t0, d, x0, basis at x0), the
+    last two None at zero coupling.  A sweep over t builds it once."""
     d = derived_params(p)
     if d.c == 0:
+        return p, t0, d, None, None
+    x0 = x_of_t(p, t0)
+    return p, t0, d, x0, basis_solutions(d, x0)
+
+
+def _propagator_end(p, t0, d, x0, b0, t: float) -> PropagatorMatrix:
+    """U(t, t0) from a start.  The determinant check at t0 runs after the
+    basis at t, so a point that fails both raises the error of the basis at t."""
+    if b0 is None:
         ph = gauge_factor(p, t0, t)
         return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t=t)
-    x0 = x_of_t(p, t0)
-    b0 = basis_solutions(d, x0)
     bt = basis_solutions(d, x_of_t(p, t))
     w12 = transition_parameter_omega12(d, x0)
     if w12 == 0 or not cmath.isfinite(w12):
@@ -191,7 +200,10 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
 
 def populations(p: ModelParams, t0: float, t: float) -> PopulationRecord:
     """Populations at time t for the initial state (0, 1) prepared at t0."""
-    u = propagator(p, t0, t)
+    return _population_record(propagator(p, t0, t))
+
+
+def _population_record(u: PropagatorMatrix) -> PopulationRecord:
     c1, c2 = u.u12, u.u22
     p12 = abs(c1) ** 2
     p22 = abs(c2) ** 2

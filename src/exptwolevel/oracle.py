@@ -62,8 +62,8 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("integrator tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):  # NaN fails
+            raise DomainError("integrator tolerances must be positive and finite")
 
 
 def _dp45(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
@@ -180,7 +180,8 @@ def integrate_tdse_batch(
 def constant_h_propagator(H, dt: float) -> np.ndarray:
     """exp(-i H dt) for traceless 2x2 H via the closed rho-formula."""
     H = np.asarray(H, dtype=complex)
-    rho = np.sqrt(H[0, 0] * H[0, 0] + H[0, 1] * H[1, 0]) + 0j  # the principal root: H is complex
+    (h00, h01), (h10, _) = H.tolist()  # Python complex: an infinite entry is NaN, no warning
+    rho = np.sqrt(h00 * h00 + h01 * h10) + 0j  # the principal root of a complex argument
     w = complex(rho) * dt  # Python arithmetic: an infinite dt gives NaN without a warning
     if not cmath.isfinite(w):
         raise DomainError(f"rotation angle {w} of exp(-i H dt) is not finite (dt = {dt})")

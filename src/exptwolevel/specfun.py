@@ -199,13 +199,13 @@ def kummer_m(mu, gamma, z) -> complex:
     return _route("M", lambda *w: (_kummer_taylor(*w), 0.0), _kummer_asymptotic, mu, gamma, z)
 
 
-def _tricomi_connection(mu, gamma, z):
+def _tricomi_connection(mu, gamma, z, m=None):
     """Two-M connection value of U plus a roundoff estimate from the
-    cancellation between the two terms."""
+    cancellation between the two terms; ``m``, if given, is M(mu, gamma, z)."""
     t1 = 0.0 + 0.0j
     if not _nonpositive_int(mu - gamma + 1.0):
         c1 = cmath.exp(ln_gamma_complex(1.0 - gamma)) * _rgamma(mu - gamma + 1.0)
-        t1 = c1 * kummer_m(mu, gamma, z)
+        t1 = c1 * (kummer_m(mu, gamma, z) if m is None else m)
     t2 = 0.0 + 0.0j
     if not _nonpositive_int(mu):
         c2 = cmath.exp(ln_gamma_complex(gamma - 1.0)) * _rgamma(mu)
@@ -224,6 +224,12 @@ def tricomi_u(mu, gamma, z) -> complex:
     The series route is the two-M connection formula, which cancels by
     roughly e^{Re z} * e^{pi(|Im mu| + |Im gamma|)} and estimates that loss.
     """
+    return _tricomi_u(mu, gamma, z)
+
+
+def _tricomi_u(mu, gamma, z, m=None):
+    """`tricomi_u`, whose connection formula takes m = kummer_m(mu, gamma, z)
+    from a caller that already summed it."""
     mu, gamma, z = complex(mu), complex(gamma), complex(z)
     if mu == 0:
         return 1.0 + 0.0j  # terminating series, any gamma and z
@@ -237,7 +243,7 @@ def tricomi_u(mu, gamma, z) -> complex:
         up, _ = _tricomi_connection(mu, complex(gr + h, gamma.imag), z)
         dn, _ = _tricomi_connection(mu, complex(gr - h, gamma.imag), z)
         return 0.5 * (up + dn)
-    series = None if int_gamma else _tricomi_connection
+    series = None if int_gamma else lambda *w: _tricomi_connection(*w, m)
     return _route("U", series, _tricomi_asymptotic_raw, mu, gamma, z)
 
 
@@ -268,12 +274,13 @@ def wronskian_residual(mu, gamma, z) -> float:
         raise PoleError(
             f"Wronskian prefactor Gamma(mu) pole at mu = {mu}", location=round(mu.real)
         )
+    m, m1 = kummer_m(mu, gamma, z), kummer_m(mu + 1.0, gamma + 1.0, z)  # each U reuses its M
+    u, du = _tricomi_u(mu, gamma, z, m), -mu * _tricomi_u(mu + 1.0, gamma + 1.0, z, m1)
+    dm = (mu / gamma) * m1
     # the products M*U' and U*M' exceed W by ~e^{pi |Im gamma|} on the
     # imaginary axis; form the difference in TAYLOR_DIGITS-digit decimal so
     # the residual reflects the function values, not the combination's own
     # cancellation
-    m, du = kummer_m(mu, gamma, z), tricomi_u_derivative(mu, gamma, z)
-    u, dm = tricomi_u(mu, gamma, z), kummer_m_derivative(mu, gamma, z)
     with localcontext(_TAYLOR_CONTEXT):
         mr, mi, dur, dui = Decimal(m.real), Decimal(m.imag), Decimal(du.real), Decimal(du.imag)
         ur, ui, dmr, dmi = Decimal(u.real), Decimal(u.imag), Decimal(dm.real), Decimal(dm.imag)

@@ -9,8 +9,9 @@ Every quantity is one entry of a table: the axes it may sweep, its value
 columns, and the function that evaluates one grid point.  Points run
 serially in grid order.  For populations and amplitudes the DP45 oracle runs
 once per sweep, as one batch over every point sampled at each point's end
-time, so datasets are bitwise reproducible.  The 2-D energy maps of the
-paper are `spectrum` sweeps and its Rabi interferogram is an
+time, so datasets are bitwise reproducible; the closed form builds the t0
+basis once per parameter set, which a t axis shares.  The 2-D energy maps of
+the paper are `spectrum` sweeps and its Rabi interferogram is an
 `interferogram` sweep over (t, epsilon).
 
 Per-point numerical failures do not abort the sweep: the row is emitted with
@@ -27,7 +28,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from . import __version__
-from .analytic import AmplitudePair, amplitudes, populations
+from .analytic import AmplitudePair, _population_record, _propagator_end, _propagator_start
+from .analytic import populations  # noqa: F401  (perfbench's tracer wraps it under this name)
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -183,9 +185,22 @@ def _oracle_finals(cfg: SweepConfig, pts: list) -> list:
     return finals
 
 
-def _populations_point(cfg, pt, final):
+def _propagate(cfg, pt, starts: dict):
+    """(ModelParams, propagator) of a grid point; `starts` holds one propagator
+    start, or the error it raised, per distinct ModelParams of the sweep."""
     q, t = _apply_point(cfg, pt)
-    rec = populations(q, q.t0, t)
+    if q not in starts:
+        try:
+            starts[q] = _propagator_start(q, q.t0)
+        except Exception as exc:
+            starts[q] = exc
+    if isinstance(starts[q], Exception):
+        raise starts[q]
+    return q, _propagator_end(*starts[q], t)
+
+
+def _populations_point(cfg, pt, final, starts):
+    rec = _population_record(_propagate(cfg, pt, starts)[1])
     vals = [rec.p12_paper, rec.p22_paper, rec.p12_mod2, rec.p22_mod2, rec.norm]
     if cfg.oracle:
         o12, o22 = abs(final[0]) ** 2, abs(final[1]) ** 2
@@ -193,9 +208,9 @@ def _populations_point(cfg, pt, final):
     return vals
 
 
-def _amplitudes_point(cfg, pt, final):
-    q, t = _apply_point(cfg, pt)
-    a = amplitudes(q, AmplitudePair(0.0, 1.0, q.t0), t)
+def _amplitudes_point(cfg, pt, final, starts):
+    q, u = _propagate(cfg, pt, starts)
+    a = u.apply(AmplitudePair(0.0, 1.0, q.t0))
     vals = [a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm]
     if cfg.oracle:
         o1, o2 = final
@@ -203,12 +218,12 @@ def _amplitudes_point(cfg, pt, final):
     return vals
 
 
-def _spectrum_point(cfg, pt, final):
+def _spectrum_point(cfg, pt, final, starts):
     d = energy_decomposition(*_apply_point(cfg, pt))
     return [d.re_plus, d.im_plus, d.re_minus, d.im_minus, d.phi, d.z_mag]
 
 
-def _rabi_point(cfg, pt, final):
+def _rabi_point(cfg, pt, final, starts):
     # closed-form transfer (both conventions), then the oracle's survival,
     # its transfer and their deviation; an interferogram keeps the survival
     b = cfg.base
@@ -226,7 +241,7 @@ class _Quantity:
     axes: tuple  # names a sweep may vary
     columns: tuple  # value columns
     oracle_columns: tuple  # appended when the config asks for the oracle
-    point: Callable  # (cfg, grid point, DP45 final or None) -> values, maybe more
+    point: Callable  # (cfg, grid point, DP45 final or None, starts) -> values, maybe more
     propagates: bool = False  # from t0 to t > t0; oracle columns from the DP45 finals
     exact_axes: bool = False  # the sweep must vary exactly `axes`, in order
 
@@ -274,6 +289,7 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     values = list(quantity.columns) + list(quantity.oracle_columns if cfg.oracle else ())
     pts = _grid_points(cfg)
     finals = _oracle_finals(cfg, pts) if cfg.oracle and quantity.propagates else [None] * len(pts)
+    starts = {}  # see _propagate; reuse ends with this call
     nan = float("nan")
     rows = []
     for pt, final in zip(pts, finals):
@@ -281,7 +297,7 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
         try:
             if isinstance(final, AccuracyError):
                 raise final
-            rows.append(prefix + quantity.point(cfg, pt, final)[:len(values)] + [0])
+            rows.append(prefix + quantity.point(cfg, pt, final, starts)[:len(values)] + [0])
         except Exception as exc:  # flagged row, sweep continues
             rows.append(prefix + [nan] * len(values) + [_error_code(exc)])
     provenance = {

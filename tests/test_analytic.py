@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import exptwolevel.analytic as analytic
 from exptwolevel.analytic import (
     AmplitudePair,
     amplitudes,
@@ -16,7 +17,8 @@ from exptwolevel.analytic import (
     transition_parameter_omega12,
 )
 from exptwolevel.errors import AccuracyError, DegeneracyError, DomainError, ExponentOverflowError
-from exptwolevel.model import ModelParams, derived_params, x_of_t
+from exptwolevel.model import DerivedParams, ModelParams, derived_params, x_of_t
+from exptwolevel.specfun import tricomi_u
 from exptwolevel.oracle import IntegratorConfig, integrate_tdse_batch
 
 P = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
@@ -34,6 +36,28 @@ class TestBasis:
         b = basis_solutions(d, 1.0)
         assert b.u1 == kummer_m(d.mu1, d.gamma, d.b)
         assert b.v1 == tricomi_u(d.mu1, d.gamma, d.b)
+
+    @pytest.mark.parametrize(
+        "mu, gamma, z",
+        [
+            (0.3 + 0.2j, 1.1 + 0.5j, 2.0 - 1.5j),  # |z| < RETRY_MIN: series only
+            (0.5, 1.2, 30.0),  # U's connection misses the target; its retry is kept
+            # beyond TAYLOR_RADIUS: M and U both retry their series route
+            (18.918392215047565 - 100.93670063591014j, 37.83678443009513 - 116.16399890917033j,
+             -47.920819464223165j),
+            (0.3 + 0.2j, 2.0, 1.0 + 2.0j),  # integer gamma: U averages two offsets
+        ],
+        ids=["small-z", "retry-below-radius", "retry-above-radius", "integer-gamma"],
+    )
+    def test_shared_m_sums_bitwise(self, mu, gamma, z, monkeypatch):
+        # each U reuses the M summed at its own point; the basis must equal
+        # the one built from independent tricomi_u calls, bit for bit
+        d = DerivedParams(a=0j, b=z / 1.5, c=0.7 - 0.2j, mu1=mu, mu2=0j, gamma=gamma)
+        shared = basis_solutions(d, 1.5)
+        monkeypatch.setattr(analytic, "_tricomi_u", lambda mu, g, z, m: tricomi_u(mu, g, z))
+        unshared = basis_solutions(d, 1.5)
+        as_bytes = lambda b: np.array([b.u1, b.v1, b.u2, b.v2]).tobytes()
+        assert as_bytes(shared) == as_bytes(unshared)
 
     def test_determinant_matches_closed_form(self):
         d = derived_params(P)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import exptwolevel.oracle as oracle
+from exptwolevel import specfun
 from exptwolevel.errors import AccuracyError, DomainError
 from exptwolevel.model import AxisSpec, ModelParams, x_of_t
 from exptwolevel.oracle import (
@@ -47,6 +48,20 @@ def step_counts(monkeypatch):
 
     monkeypatch.setattr(oracle, "_dp45", counted)
     return counts
+
+
+@pytest.fixture
+def taylor_sums(monkeypatch):
+    """Arguments of every decimal Taylor sum of M, in call order."""
+    calls = []
+    taylor = specfun._kummer_taylor
+
+    def counted(*args):
+        calls.append(args)
+        return taylor(*args)
+
+    monkeypatch.setattr(specfun, "_kummer_taylor", counted)
+    return calls
 
 
 class TestConservation:
@@ -126,6 +141,14 @@ class TestAccuracy:
         with pytest.raises(DomainError):
             integrate_tdse_batch([P_FULL], (0.0, 1.0), t0, t1, TIGHT, t_eval=t_eval)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.inf, NAN, -math.inf], ids=["inf", "nan", "-inf"])
+    def test_non_finite_tolerance_rejected(self, field, value):
+        # an infinite tolerance would accept every step and a NaN one would end
+        # in a step-size AccuracyError; both are input errors
+        with pytest.raises(DomainError):
+            IntegratorConfig(**{field: value})
+
 
 class TestBatch:
     def test_batch_matches_single(self):
@@ -163,7 +186,7 @@ class TestPinnedRuns:
     # Recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
     TSCAN_DIGEST = "0f1ecfd165c52cb4b55b44395fb245c52f46a26b6c9473290ece03a8128094d9"
 
-    def test_tscan_rows_and_steps(self, step_counts):
+    def test_tscan_rows_and_steps(self, step_counts, taylor_sums):
         cfg = SweepConfig(
             _figure_config(3).base, (AxisSpec("t", 0.2, 4.0, 20), AxisSpec("Delta", -1.5, 1.5, 7)),
             "amplitudes", oracle=True,
@@ -175,10 +198,27 @@ class TestPinnedRuns:
         )
         assert hashlib.sha256(body.encode()).hexdigest() == self.TSCAN_DIGEST
         assert step_counts == [(2325, 0)]
+        # 7 Delta values: one t0 basis each, and a basis at each of the 14 t with
+        # |z| <= TAYLOR_RADIUS; a basis is four distinct M sums
+        assert len(taylor_sums) == 7 * (1 + 14) * 4
 
-    def test_figure3_steps(self, step_counts):
+    def test_figure3_steps(self, step_counts, taylor_sums):
         run_sweep(_figure_config(3))
         assert step_counts == [(6293, 1)]
+        # 201 points, each with one series-route basis (at t0; |z| = 2) of four sums
+        assert len(taylor_sums) == 201 * 4
+
+    def test_sweeps_share_nothing(self, taylor_sums):
+        # the t0 basis is shared within one run_sweep only: a second run of the
+        # same config sums every series again
+        cfg = SweepConfig(
+            _figure_config(3).base, (AxisSpec("t", 0.5, 2.5, 5), AxisSpec("Delta", -1.0, 1.0, 2)),
+            "amplitudes",
+        )
+        run_sweep(cfg)
+        assert len(taylor_sums) == 2 * (1 + 5) * 4
+        run_sweep(cfg)
+        assert len(taylor_sums) == 2 * 2 * (1 + 5) * 4
 
 
 class TestConstantPropagator:
@@ -197,8 +237,9 @@ class TestConstantPropagator:
             (np.eye(2), math.inf),  # with no "invalid value" RuntimeWarning first
             (np.array([[NAN, 0.2], [0.2, -0.4]]), 1.0),
             (np.array([[0.4, 0.2], [NAN, -0.4]]), 1.0),
+            (np.array([[math.inf, 1.0], [1.0, -math.inf]]), 1.0),  # no RuntimeWarning either
         ],
-        ids=["nan-dt", "inf-dt", "nan-diagonal", "nan-coupling"],
+        ids=["nan-dt", "inf-dt", "nan-diagonal", "nan-coupling", "inf-diagonal"],
     )
     def test_non_finite_angle_rejected(self, h, dt):
         with pytest.raises(DomainError):

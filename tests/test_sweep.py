@@ -9,9 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import exptwolevel.analytic as analytic
 from exptwolevel.analytic import AmplitudePair, populations
 from exptwolevel.cli import main as cli_main
-from exptwolevel.errors import ConfigError
+from exptwolevel.errors import ConfigError, DegeneracyError, DomainError
 from exptwolevel.model import AxisSpec, ModelParams
 from exptwolevel.spectrum import energy_decomposition
 import exptwolevel.sweep as sweep
@@ -23,6 +24,8 @@ from exptwolevel.sweep import (
 )
 
 BASE = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.5, t0=0.0, t1=5.0)
+# the basis determinant at t0 misses its closed form by a residual of ~2e6
+BAD_START = ModelParams(2.698, 0.191, -0.324, 1.92, 1.783, 0.0, 1.0)
 
 
 def small_cfg(**kw):
@@ -164,6 +167,39 @@ class TestDelegation:
         for quantity in ("populations", "amplitudes"):
             ds = run_sweep(small_cfg(quantity=quantity, axes=axes))
             assert [r[-1] for r in ds.rows] == [1, 1, 0]
+
+    def test_failed_start_flags_every_row(self):
+        # one t0 basis serves the whole t axis, and its failed check flags each row
+        ds = run_sweep(small_cfg(base=BAD_START, axes=(AxisSpec("t", 0.25, 1.0, 4),)))
+        assert [r[-1] for r in ds.rows] == [3, 3, 3, 3]
+
+    def test_start_built_once_per_parameter_set(self, monkeypatch):
+        # the points of a t axis share one propagator start, a raised one too
+        built = []
+
+        def failing_start(p, t0):
+            built.append(p)
+            raise DegeneracyError("start fails")
+
+        monkeypatch.setattr(sweep, "_propagator_start", failing_start)
+        axes = (AxisSpec("t", 1.0, 4.0, 4), AxisSpec("Delta", -1.0, 1.0, 2))
+        ds = run_sweep(small_cfg(quantity="amplitudes", axes=axes))
+        assert [r[-1] for r in ds.rows] == [2] * 8
+        assert len(built) == 2
+
+    def test_basis_at_t_fails_before_start_check(self, monkeypatch):
+        # the basis at t is evaluated before the determinant check at t0, so a
+        # row whose basis at t fails reports that error (code 1), not the check's
+        basis = analytic.basis_solutions
+
+        def fails_past_one(d, x):
+            if x > 1.0:  # t > 1.7 at BAD_START
+                raise DomainError("basis at t fails")
+            return basis(d, x)
+
+        monkeypatch.setattr(analytic, "basis_solutions", fails_past_one)
+        ds = run_sweep(small_cfg(base=BAD_START, axes=(AxisSpec("t", 0.5, 4.0, 8),)))
+        assert [r[-1] for r in ds.rows] == [3, 3, 3, 1, 1, 1, 1, 1]
 
     def test_oracle_failure_flags_only_its_row(self, tmp_path):
         # at beta = 400 the oracle overflows and fails the shared batch; each
