@@ -1,8 +1,17 @@
 """Independent numerical reference for the dynamics.
 
-Integrates i dC/dt = H(t) C with an embedded Dormand-Prince 4(5) pair.
-Nothing here touches the hypergeometric machinery, so agreement between
-this module and `analytic` is a genuine two-route check.
+Solves i dC/dt = H(t) C with an embedded Dormand-Prince 4(5) pair, in the
+interaction picture: the diagonal of H only turns the phases of C1 and C2
+at the rate Omega(t), whose integral phi(t) from the window's start is
+elementary.  So the integrator follows a1 = e^{i phi} C1, a2 = e^{-i phi} C2,
+
+    i da1/dt = delta e^{2i phi} a2,    i da2/dt = delta e^{-2i phi} a1,
+
+and maps each sample back with C1 = e^{-i phi} a1, C2 = e^{i phi} a2; its
+step follows the coupling, not the fast phase.  phi is formed here from
+(A, alpha, beta, epsilon), and nothing here touches the hypergeometric
+machinery or the closed form's gauge factor, so agreement between this
+module and `analytic` is a genuine two-route check.
 
 The integrator is hand-rolled rather than delegated so that (a) whole
 parameter sweeps can be integrated as one batched state array with a shared
@@ -15,8 +24,8 @@ is a batch of one.
 A batch state holds a few hundred numbers, so a step costs numpy calls, not
 arithmetic.  The seven stages live as rows of one (7, size) array, and each
 stage input and the error estimate is one dot of a tableau row with those
-rows; the exponential coefficient is evaluated at all seven stage times of a
-step in one call.  The tests pin step counts and sampled rows by digest, so
+rows; the phase factors of the coupling are formed at all seven stage times
+of a step at once.  The tests pin step counts and sampled rows by digest, so
 a change to this arithmetic that moves any bit shows there.
 """
 
@@ -153,27 +162,42 @@ def integrate_tdse_batch(
     sweep's oracle run at roughly the cost of a single trajectory.
     Returns the final amplitudes, shape (n_points, 2), or with ``t_eval``
     the amplitudes at those times, shape (len(t_eval), n_points, 2).
+    Raises AccuracyError before stepping when a point's phase at either end
+    of the window cannot be resolved at ``cfg.rel_tol``.
     """
     if not params:
         raise DomainError("the oracle batch holds no parameter points")
-    A = np.array([q.A for q in params])
-    alpha = np.array([q.alpha for q in params])
-    beta = np.array([q.beta for q in params])
-    eps = np.array([q.epsilon for q in params])
-    delta = 0.5 * (eps + 1j * np.array([q.Delta for q in params]))[:, None]
-
-    def rhs(ts):
-        # columns (om, -om) at every stage time: dC/dt = -i (om C + delta C[::-1])
-        om = 0.5 * (A * np.exp(alpha * ts[:, None] + beta) + eps)[..., None]
-        om = np.concatenate((om, -om), axis=-1)
-        return lambda i, y: -1j * (om[i] * y + delta * y[:, ::-1])
-
+    fields = [(q.A, q.alpha, q.beta, q.epsilon, q.Delta) for q in params]
+    A, alpha, beta, eps, Delta = np.array(fields).T
+    minus_i_delta = -0.5j * (eps + 1j * Delta)[:, None]
     y0 = np.broadcast_to(np.asarray(init, dtype=complex), (len(params), 2)).copy()
     max_step = float(STEP_CAP / np.max(np.abs(alpha)))
-    # an overflowing point makes a NaN error norm, which the controller
-    # rejects until it raises AccuracyError, so numpy's warnings say nothing
+    times = [t1] if t_eval is None else t_eval
+    # an overflowing point fails the phase check below, or makes a NaN error norm
+    # that the controller rejects until AccuracyError, so numpy's warnings say nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        samples, _, _ = _dp45(rhs, t0, t1, y0, cfg, max_step, [t1] if t_eval is None else t_eval)
+        grow = A * np.exp(alpha * t0 + beta) / alpha
+
+        def two_phi(ts):
+            # 2 phi at each of ts, shape (len(ts), n_points); phi = integral of Omega from t0
+            s = np.asarray(ts, dtype=float)[:, None] - t0
+            return grow * np.expm1(alpha * s) + eps * s
+
+        def rhs(ts):
+            # columns -i delta (e^{2i phi}, e^{-2i phi}) at each stage time; a' = coupling a[::-1]
+            w = np.exp(1j * two_phi(ts))
+            coupling = minus_i_delta * np.stack((w, w.conj()), axis=-1)
+            return lambda i, a: coupling[i] * a[:, ::-1]
+
+        ends = np.abs(two_phi([t0, t1]))
+        # resolved means |phi| 2^-52 <= rel_tol; an unresolved phase would end only
+        # at MAX_STEPS, and a non-finite window is _dp45's DomainError
+        if math.isfinite(t1 - t0) and not np.all(ends <= 2.0**53 * cfg.rel_tol):
+            raise AccuracyError(f"dynamical phase up to {np.max(ends) / 2} rad on [{t0}, {t1}] "
+                                f"is not resolved at rel_tol {cfg.rel_tol}")
+        samples, _, _ = _dp45(rhs, t0, t1, y0, cfg, max_step, times)
+        # back to the lab frame: c1 = e^{-i phi} a1, c2 = e^{i phi} a2
+        samples *= np.exp(0.5j * two_phi(times)[..., None] * [-1.0, 1.0])
     return samples[0] if t_eval is None else samples
 
 

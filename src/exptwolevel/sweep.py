@@ -187,7 +187,7 @@ def _oracle_finals(cfg: SweepConfig, pts: list) -> list:
 
 def _propagate(cfg, pt, starts: dict):
     """(ModelParams, propagator) of a grid point; `starts` holds one propagator
-    start, or the error it raised, per distinct ModelParams of the sweep."""
+    start, or the error it raised, per ModelParams of the rows sharing it."""
     q, t = _apply_point(cfg, pt)
     if q not in starts:
         try:
@@ -289,17 +289,17 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     values = list(quantity.columns) + list(quantity.oracle_columns if cfg.oracle else ())
     pts = _grid_points(cfg)
     finals = _oracle_finals(cfg, pts) if cfg.oracle and quantity.propagates else [None] * len(pts)
-    starts = {}  # see _propagate; reuse ends with this call
-    nan = float("nan")
+    starts = {}  # see _propagate; only the rows of a t axis share a start
     rows = []
     for pt, final in zip(pts, finals):
+        starts = starts if "t" in names else {}
         prefix = [pt[n] for n in names]
         try:
             if isinstance(final, AccuracyError):
                 raise final
             rows.append(prefix + quantity.point(cfg, pt, final, starts)[:len(values)] + [0])
         except Exception as exc:  # flagged row, sweep continues
-            rows.append(prefix + [nan] * len(values) + [_error_code(exc)])
+            rows.append(prefix + [math.nan] * len(values) + [_error_code(exc)])
     provenance = {
         "generator": f"exptwolevel {__version__}",
         "config": cfg.to_json_dict(),

@@ -147,16 +147,19 @@ class TestOracleAgreement:
 
 
 class TestRandomBox:
-    def test_never_silently_wrong(self):
-        # alpha log-uniform in [0.02, 5], A in [0.5, 3], epsilon and Delta in
-        # [-3, 3], beta keeping alpha t + beta in [-4, 2] on [0, 1]: each
-        # propagator matches the oracle to 1e-6 or raises a typed error
-        rng = np.random.default_rng(1)
+    """|alpha| log-uniform in [0.02, 5], A in [0.5, 3], epsilon and Delta in
+    [-3, 3], beta keeping alpha t + beta in [-4, 2] on [0, 1]: each
+    propagator matches the oracle to 1e-6 or raises a typed error, and fewer
+    than half raise."""
+
+    @staticmethod
+    def check_box(seed: int, sign: float):
+        rng = np.random.default_rng(seed)
         n = 200
-        alpha = np.exp(rng.uniform(math.log(0.02), math.log(5.0), n))
+        alpha = sign * np.exp(rng.uniform(math.log(0.02), math.log(5.0), n))
         amp = rng.uniform(0.5, 3.0, n)
         eps, delta = rng.uniform(-3.0, 3.0, (2, n))
-        beta = -4.0 + (6.0 - alpha) * rng.uniform(size=n)
+        beta = -4.0 + np.maximum(-alpha, 0.0) + (6.0 - abs(alpha)) * rng.uniform(size=n)
         params = [
             ModelParams(A=a, alpha=al, beta=b, epsilon=e, Delta=d, t0=0.0, t1=1.0)
             for a, al, b, e, d in zip(amp, alpha, beta, eps, delta)
@@ -175,6 +178,13 @@ class TestRandomBox:
             dev = max(np.max(np.abs(u[:, 0] - ref[i])), np.max(np.abs(u[:, 1] - ref[n + i])))
             assert dev < 1e-6, (q, dev)
         assert raised < n // 2
+
+    def test_never_silently_wrong(self):
+        self.check_box(1, 1.0)
+
+    def test_never_silently_wrong_negative_alpha(self):
+        # a decaying exponential: beta in [-4 + |alpha|, 2]
+        self.check_box(2, -1.0)
 
 
 class TestPopulations:

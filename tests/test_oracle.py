@@ -1,6 +1,6 @@
-"""Numerical integrator: convergence order, conservation laws, linearity,
-batching, pinned step counts and rows, and the constant-Hamiltonian matrix
-exponential."""
+"""Numerical integrator: conservation laws, linearity, batching, agreement
+with the lab-frame equation, pinned step counts and rows, and the
+constant-Hamiltonian matrix exponential."""
 
 import hashlib
 import io
@@ -24,6 +24,8 @@ from exptwolevel.sweep import SweepConfig, _figure_config, emit, run_sweep
 
 P_HERM = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.0, t0=-3.0, t1=2.0)
 P_FULL = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
+# figure 5's decaying exponential, with a detuning and a coupling
+P_DECAY = ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.7, Delta=0.3, t0=0.0, t1=7.0)
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 INIT = (0.0, 1.0)  # at t = -3
 NAN = float("nan")
@@ -32,6 +34,25 @@ NAN = float("nan")
 def final(p, init, t0, t1, cfg=TIGHT):
     """(c1, c2) at t1 of the trajectory through init at t0, as a batch of one."""
     return integrate_tdse_batch([p], init, t0, t1, cfg)[0]
+
+
+def lab_frame(params, init, t0, t1, t_eval):
+    """Samples of i dC/dt = H(t) C as it stands, dynamical phase and all, from
+    the same DP45 driver at TIGHT: the reference for the oracle, which
+    integrates the interaction-picture amplitudes instead."""
+    A, alpha, beta, eps, Delta = (np.array([getattr(q, f) for q in params])
+                                  for f in ("A", "alpha", "beta", "epsilon", "Delta"))
+    d = 0.5 * (eps + 1j * Delta)[:, None]
+
+    def rhs(ts):
+        # columns (O, -O) of the diagonal at every stage time
+        om = 0.5 * (A * np.exp(alpha * ts[:, None] + beta) + eps)[..., None]
+        om = np.concatenate((om, -om), axis=-1)
+        return lambda i, y: -1j * (om[i] * y + d * y[:, ::-1])
+
+    y0 = np.broadcast_to(np.asarray(init, dtype=complex), (len(params), 2)).copy()
+    max_step = oracle.STEP_CAP / np.max(np.abs(alpha))
+    return oracle._dp45(rhs, t0, t1, y0, TIGHT, max_step, t_eval)[0]
 
 
 @pytest.fixture
@@ -175,6 +196,26 @@ class TestBatch:
             integrate_tdse_batch([], (0.0, 1.0), 0.0, 1.0)
 
 
+class TestLabFrameReference:
+    @pytest.mark.parametrize(
+        "params, init, t0, t1, t_eval",
+        [
+            ([P_FULL], INIT, -5.0, 3.0, [-4.0, -1.5, 0.5, 3.0]),
+            ([P_DECAY], INIT, 0.0, 2.0, [0.05, 0.4, 2.0]),
+            ([P_FULL, P_DECAY], (0.6, -0.8j), 2.0, 0.0, [1.5, 0.5, 0.0]),
+            ([P_HERM, P_FULL, P_DECAY] * 2, [(1.0, 0.0)] * 3 + [(0.0, 1.0)] * 3, 0.0, 1.5, [1.5]),
+        ],
+        ids=["alpha-positive", "alpha-negative", "backward", "mixed-initial-states"],
+    )
+    def test_matches_lab_frame(self, params, init, t0, t1, t_eval):
+        # the phase the oracle removes and restores is formed inline from
+        # (A, alpha, beta, epsilon); a wrong one breaks this agreement
+        ref = lab_frame(params, init, t0, t1, t_eval)
+        got = integrate_tdse_batch(params, init, t0, t1, TIGHT, t_eval=t_eval)
+        assert got.shape == ref.shape == (len(t_eval), len(params), 2)
+        assert np.max(np.abs(got - ref)) < 1e-9
+
+
 class TestPinnedRuns:
     """Step counts and rows of the batched oracle at fixed inputs.  A change
     to the integrator's arithmetic that moves any bit shows up here; the
@@ -184,7 +225,7 @@ class TestPinnedRuns:
     # sweep: amplitudes over t 0.2..4 (20) x Delta -1.5..1.5 (7) at the
     # figure-3 base, oracle on, so the batch is sampled at 20 end times.
     # Recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
-    TSCAN_DIGEST = "0f1ecfd165c52cb4b55b44395fb245c52f46a26b6c9473290ece03a8128094d9"
+    TSCAN_DIGEST = "05ee33e286c4611e466220e1ffd5f55553d1aba831c527b81e35fd8a11da21a9"
 
     def test_tscan_rows_and_steps(self, step_counts, taylor_sums):
         cfg = SweepConfig(
@@ -197,16 +238,23 @@ class TestPinnedRuns:
             line for line in buf.getvalue().splitlines(keepends=True) if not line.startswith("#")
         )
         assert hashlib.sha256(body.encode()).hexdigest() == self.TSCAN_DIGEST
-        assert step_counts == [(2325, 0)]
+        assert step_counts == [(1147, 1)]
         # 7 Delta values: one t0 basis each, and a basis at each of the 14 t with
         # |z| <= TAYLOR_RADIUS; a basis is four distinct M sums
         assert len(taylor_sums) == 7 * (1 + 14) * 4
 
     def test_figure3_steps(self, step_counts, taylor_sums):
         run_sweep(_figure_config(3))
-        assert step_counts == [(6293, 1)]
+        assert step_counts == [(2585, 1)]
         # 201 points, each with one series-route basis (at t0; |z| = 2) of four sums
         assert len(taylor_sums) == 201 * 4
+
+    @pytest.mark.parametrize(
+        "n, steps", [(2, (2112, 1)), (4, (2754, 1))], ids=["figure-2", "figure-4"]
+    )
+    def test_figure_steps(self, n, steps, step_counts):
+        run_sweep(_figure_config(n))
+        assert step_counts == [steps]
 
     def test_sweeps_share_nothing(self, taylor_sums):
         # the t0 basis is shared within one run_sweep only: a second run of the

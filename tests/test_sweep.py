@@ -4,6 +4,7 @@ error flagging, formats, and the CLI."""
 import json
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -202,8 +203,8 @@ class TestDelegation:
         assert [r[-1] for r in ds.rows] == [3, 3, 3, 1, 1, 1, 1, 1]
 
     def test_oracle_failure_flags_only_its_row(self, tmp_path):
-        # at beta = 400 the oracle overflows and fails the shared batch; each
-        # point is then rerun alone, so only that row is flagged (code 3)
+        # at beta = 400 the oracle's phase is not resolvable and fails the shared
+        # batch; each point is then rerun alone, so only that row is flagged (code 3)
         out = tmp_path / "o.json"
         rc = cli_main(["populations", "--axis1", "beta:0:400:2", "--oracle",
                        "--format", "json", "--output", str(out)])
@@ -211,6 +212,21 @@ class TestDelegation:
         ds = json.loads(out.read_text())
         assert [r[-1] for r in ds["rows"]] == [0, 3]
         assert ds["rows"][0][ds["columns"].index("deviation")] < 1e-6
+
+    def test_unresolvable_oracle_point_fails_fast(self):
+        # figure 3 with beta in {-400, 0, 400}: at beta = 400 the oracle's phase
+        # (~1e176 rad) fails its batch before the first step, the points are
+        # rerun alone, and each other row equals its sweep without that point
+        base = sweep.FIGURES[3][0]
+        start = time.monotonic()
+        ds = run_sweep(SweepConfig(base, (AxisSpec("beta", -400.0, 400.0, 3),), "populations",
+                                   oracle=True))
+        assert time.monotonic() - start < 5.0
+        assert [r[-1] for r in ds.rows] == [0, 0, 3]
+        for row in ds.rows[:2]:
+            alone = SweepConfig(base, (AxisSpec("beta", row[0], row[0], 1),), "populations",
+                                oracle=True)
+            assert run_sweep(alone).rows == [row]
 
     @pytest.mark.parametrize("quantity", ["rabi", "interferogram"])
     def test_rabi_degenerate_rows_flagged(self, quantity):
