@@ -14,7 +14,6 @@ from .model import AxisSpec, DerivedParams, ModelParams
 from .analytic import (
     AmplitudePair,
     BasisSolutions,
-    PopulationRecord,
     PropagatorMatrix,
     amplitudes,
     basis_solutions,

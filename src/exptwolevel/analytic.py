@@ -21,6 +21,9 @@ determinant at time t0, which is stable where direct 2x2 inversion of a
 nearly degenerate basis would not be.  A basis that lost its accuracy to
 cancellation shows in its numeric determinant at t0, which then strays from
 the closed form; past BASIS_RESIDUAL_LIMIT the propagator raises.
+
+`AmplitudePair` is the one record of a pair of amplitudes, from the closed
+form or an oracle; the populations the figures plot are its properties.
 """
 
 from __future__ import annotations
@@ -41,15 +44,37 @@ BASIS_RESIDUAL_LIMIT = 1e-8
 
 @dataclass(frozen=True)
 class AmplitudePair:
-    """State amplitudes (c1, c2) at time t; c1 pairs with the +detuning level."""
+    """State amplitudes (c1, c2) at time t; c1 pairs with the +detuning level.
+
+    Its populations come in two reporting conventions.  ``p12_paper`` and
+    ``p22_paper`` are the literal Re c + Im c of c1 and c2 -- not a modulus,
+    so they can be negative or exceed one.  ``p12_mod2`` and ``p22_mod2`` are
+    the standard |c|^2, and ``norm`` is their sum, not conserved when Delta != 0.
+    """
 
     c1: complex
     c2: complex
     t: float
 
     @property
+    def p12_paper(self) -> float:
+        return self.c1.real + self.c1.imag
+
+    @property
+    def p22_paper(self) -> float:
+        return self.c2.real + self.c2.imag
+
+    @property
+    def p12_mod2(self) -> float:
+        return abs(self.c1) ** 2
+
+    @property
+    def p22_mod2(self) -> float:
+        return abs(self.c2) ** 2
+
+    @property
     def norm(self) -> float:
-        return abs(self.c1) ** 2 + abs(self.c2) ** 2
+        return self.p12_mod2 + self.p22_mod2
 
 
 @dataclass(frozen=True)
@@ -83,24 +108,6 @@ class PropagatorMatrix:
             c2=self.u21 * init.c1 + self.u22 * init.c2,
             t=self.t,
         )
-
-
-@dataclass(frozen=True)
-class PopulationRecord:
-    """Transition/survival populations for the excited initial state (0, 1).
-
-    Two reporting conventions are carried side by side.  ``p12_paper`` and
-    ``p22_paper`` are the literal sum Re(U_k2) + Im(U_k2) of the propagator
-    matrix element -- not a modulus, so these can be negative or exceed one.
-    ``p12_mod2`` and ``p22_mod2`` are the standard |U_k2|^2 probabilities.
-    ``norm`` is their sum; it is not conserved when Delta != 0.
-    """
-
-    p12_paper: float
-    p22_paper: float
-    p12_mod2: float
-    p22_mod2: float
-    norm: float
 
 
 def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
@@ -198,19 +205,8 @@ def _propagator_end(p, t0, d, x0, b0, t: float) -> PropagatorMatrix:
     )
 
 
-def populations(p: ModelParams, t0: float, t: float) -> PopulationRecord:
-    """Populations at time t for the initial state (0, 1) prepared at t0."""
-    return _population_record(propagator(p, t0, t))
-
-
-def _population_record(u: PropagatorMatrix) -> PopulationRecord:
-    c1, c2 = u.u12, u.u22
-    p12 = abs(c1) ** 2
-    p22 = abs(c2) ** 2
-    return PopulationRecord(
-        p12_paper=c1.real + c1.imag,
-        p22_paper=c2.real + c2.imag,
-        p12_mod2=p12,
-        p22_mod2=p22,
-        norm=p12 + p22,
-    )
+def populations(p: ModelParams, t0: float, t: float) -> AmplitudePair:
+    """Amplitudes at time t of the initial state (0, 1) prepared at t0, that
+    is column 2 of the propagator; the populations are its properties."""
+    u = propagator(p, t0, t)
+    return AmplitudePair(u.u12, u.u22, t)

@@ -16,13 +16,15 @@ class PoleError(DomainError):
 class AccuracyError(ArithmeticError):
     """A series or integrator failed to reach the requested accuracy.
 
-    Carries the best residual actually achieved in ``residual``.
+    Carries the best residual actually achieved in ``residual``, and in
+    ``points`` the batch indices of points a check rejected before the run.
     """
 
-    def __init__(self, message, residual=None, partial=None):
+    def __init__(self, message, residual=None, partial=None, points=None):
         super().__init__(message)
         self.residual = residual
         self.partial = partial
+        self.points = points
 
 
 class ExponentOverflowError(OverflowError):

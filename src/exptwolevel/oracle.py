@@ -163,7 +163,9 @@ def integrate_tdse_batch(
     Returns the final amplitudes, shape (n_points, 2), or with ``t_eval``
     the amplitudes at those times, shape (len(t_eval), n_points, 2).
     Raises AccuracyError before stepping when a point's phase at either end
-    of the window cannot be resolved at ``cfg.rel_tol``.
+    of the window cannot be resolved at ``cfg.rel_tol``; its ``points`` are
+    the batch indices of those points, so a caller can run the rest again.
+    An AccuracyError raised once stepping has started names no points.
     """
     if not params:
         raise DomainError("the oracle batch holds no parameter points")
@@ -192,9 +194,10 @@ def integrate_tdse_batch(
         ends = np.abs(two_phi([t0, t1]))
         # resolved means |phi| 2^-52 <= rel_tol; an unresolved phase would end only
         # at MAX_STEPS, and a non-finite window is _dp45's DomainError
-        if math.isfinite(t1 - t0) and not np.all(ends <= 2.0**53 * cfg.rel_tol):
+        bad = np.flatnonzero(~np.all(ends <= 2.0**53 * cfg.rel_tol, axis=0)).tolist()
+        if math.isfinite(t1 - t0) and bad:
             raise AccuracyError(f"dynamical phase up to {np.max(ends) / 2} rad on [{t0}, {t1}] "
-                                f"is not resolved at rel_tol {cfg.rel_tol}")
+                                f"is not resolved at rel_tol {cfg.rel_tol}", points=bad)
         samples, _, _ = _dp45(rhs, t0, t1, y0, cfg, max_step, times)
         # back to the lab frame: c1 = e^{-i phi} a1, c2 = e^{i phi} a2
         samples *= np.exp(0.5j * two_phi(times)[..., None] * [-1.0, 1.0])

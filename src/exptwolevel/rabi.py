@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError
 from .model import ModelParams, require_finite
 from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse_batch
-from .analytic import PopulationRecord
+from .analytic import AmplitudePair
 
 
 @dataclass(frozen=True)
@@ -75,24 +75,13 @@ def rabi_survival_closed_form(r: RabiParams) -> RabiSurvival:
     return RabiSurvival(value=value, real_part=value.real, modulus=abs(value))
 
 
-def rabi_survival_oracle(r: RabiParams) -> PopulationRecord:
-    """Constant-H propagation of the initial state (1, 0).
-
-    The survival amplitude U11 is reported in the p22 slots (it plays the
-    role the diagonal element plays elsewhere) and the transfer amplitude
-    U21 in the p12 slots, under both reporting conventions.
-    """
+def rabi_survival_oracle(r: RabiParams) -> AmplitudePair:
+    """Constant-H amplitudes at r.t of the initial state (1, 0): the transfer
+    amplitude U21 as ``c1`` and the survival amplitude U11 as ``c2``, so the
+    survival fills the p22 slots (the diagonal element's role elsewhere) and
+    the transfer the p12 slots, under both reporting conventions."""
     u = constant_h_propagator(_rabi_hamiltonian(r.epsilon, r.Delta), r.t)
-    surv, trans = u[0, 0], u[1, 0]
-    p_surv = abs(surv) ** 2
-    p_trans = abs(trans) ** 2
-    return PopulationRecord(
-        p12_paper=trans.real + trans.imag,
-        p22_paper=surv.real + surv.imag,
-        p12_mod2=p_trans,
-        p22_mod2=p_surv,
-        norm=p_surv + p_trans,
-    )
+    return AmplitudePair(u[1, 0], u[0, 0], r.t)
 
 
 # exponential magnitude below which the model counts as "in the Rabi limit"

@@ -10,9 +10,10 @@ columns, and the function that evaluates one grid point.  Points run
 serially in grid order.  For populations and amplitudes the DP45 oracle runs
 once per sweep, as one batch over every point sampled at each point's end
 time, so datasets are bitwise reproducible; the closed form builds the t0
-basis once per parameter set, which a t axis shares.  The 2-D energy maps of
-the paper are `spectrum` sweeps and its Rabi interferogram is an
-`interferogram` sweep over (t, epsilon).
+basis once per parameter set, which a t axis shares.  A row reads its
+columns off the `AmplitudePair` of each route.  The 2-D energy maps of the
+paper are `spectrum` sweeps and its Rabi interferogram is an `interferogram`
+sweep over (t, epsilon).
 
 Per-point numerical failures do not abort the sweep: the row is emitted with
 NaN values and a nonzero error code (1 = domain, 2 = degenerate basis,
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from . import __version__
-from .analytic import AmplitudePair, _population_record, _propagator_end, _propagator_start
+from .analytic import AmplitudePair, _propagator_end, _propagator_start
 from .analytic import populations  # noqa: F401  (perfbench's tracer wraps it under this name)
 from .errors import (
     AccuracyError,
@@ -147,14 +148,12 @@ def _apply_point(cfg: SweepConfig, pt: dict):
 
 
 def _oracle_finals(cfg: SweepConfig, pts: list) -> list:
-    """Final (c1, c2) from the ODE oracle for each grid point, None where
-    the point itself is invalid, or the AccuracyError of a point whose
-    oracle run fails.
+    """Final amplitudes (an AmplitudePair) from the ODE oracle for each grid
+    point, None where the point itself is invalid, or the AccuracyError of a
+    point whose oracle run fails.
 
     Every valid point goes into one batch over the common window, sampled at
-    each distinct end time, so a t-axis sweep costs one batched run too.  A
-    point that fails spoils the step all points share, so when the batch
-    fails each point is rerun alone and only the failing ones are flagged.
+    each distinct end time, so a t-axis sweep costs one batched run too.
     """
     valid = []
     for i, pt in enumerate(pts):
@@ -163,31 +162,42 @@ def _oracle_finals(cfg: SweepConfig, pts: list) -> list:
         except DomainError:  # the row is flagged when the point is evaluated
             continue
     finals = [None] * len(pts)
-    if not valid:
-        return finals
-    t0 = cfg.base.t0
-    times = sorted({t_end for _, _, t_end in valid})
-    slot = {t_end: k for k, t_end in enumerate(times)}
-    try:
-        samples = integrate_tdse_batch(
-            [q for _, q, _ in valid], (0.0, 1.0), t0, times[-1], _ORACLE_CFG, t_eval=times
-        )
-        ends = [samples[slot[t_end], row] for row, (_, _, t_end) in enumerate(valid)]
-    except AccuracyError:
-        ends = []
-        for _, q, t_end in valid:
-            try:
-                ends.append(integrate_tdse_batch([q], (0.0, 1.0), t0, t_end, _ORACLE_CFG)[0])
-            except AccuracyError as exc:
-                ends.append(exc)
-    for (i, _, _), end in zip(valid, ends):
-        finals[i] = end if isinstance(end, AccuracyError) else (complex(end[0]), complex(end[1]))
+    _batch_finals(cfg, valid, finals)
     return finals
 
 
-def _propagate(cfg, pt, starts: dict):
-    """(ModelParams, propagator) of a grid point; `starts` holds one propagator
-    start, or the error it raised, per ModelParams of the rows sharing it."""
+def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
+    """Fill finals[i] for each (i, params, end time) of batch from one run.
+
+    Points the phase check rejects before the first step are flagged and the
+    rest run again as one batch.  A failure once stepping has started spoils
+    the step all points share, so each point is then rerun alone.
+    """
+    if not batch:
+        return
+    times = sorted({t_end for _, _, t_end in batch})
+    try:
+        samples = integrate_tdse_batch([q for _, q, _ in batch], (0.0, 1.0), cfg.base.t0,
+                                       times[-1], _ORACLE_CFG, t_eval=times)
+    except AccuracyError as exc:
+        if exc.points is None and len(batch) > 1:
+            for point in batch:
+                _batch_finals(cfg, [point], finals)
+            return
+        bad = set(range(len(batch)) if exc.points is None else exc.points)
+        for k in bad:
+            finals[batch[k][0]] = exc
+        _batch_finals(cfg, [point for k, point in enumerate(batch) if k not in bad], finals)
+        return
+    for row, (i, _, t_end) in enumerate(batch):
+        c1, c2 = samples[times.index(t_end), row]
+        finals[i] = AmplitudePair(complex(c1), complex(c2), t_end)
+
+
+def _propagate(cfg, pt, starts: dict) -> AmplitudePair:
+    """Closed-form amplitudes of a grid point for the initial state (0, 1) at
+    t0, column 2 of its propagator; `starts` holds one propagator start, or
+    the error it raised, per ModelParams of the rows sharing it."""
     q, t = _apply_point(cfg, pt)
     if q not in starts:
         try:
@@ -196,24 +206,24 @@ def _propagate(cfg, pt, starts: dict):
             starts[q] = exc
     if isinstance(starts[q], Exception):
         raise starts[q]
-    return q, _propagator_end(*starts[q], t)
+    u = _propagator_end(*starts[q], t)
+    return AmplitudePair(u.u12, u.u22, t)
 
 
 def _populations_point(cfg, pt, final, starts):
-    rec = _population_record(_propagate(cfg, pt, starts)[1])
-    vals = [rec.p12_paper, rec.p22_paper, rec.p12_mod2, rec.p22_mod2, rec.norm]
+    a = _propagate(cfg, pt, starts)
+    vals = [a.p12_paper, a.p22_paper, a.p12_mod2, a.p22_mod2, a.norm]
     if cfg.oracle:
-        o12, o22 = abs(final[0]) ** 2, abs(final[1]) ** 2
-        vals += [o12, o22, max(abs(rec.p12_mod2 - o12), abs(rec.p22_mod2 - o22))]
+        dev = max(abs(a.p12_mod2 - final.p12_mod2), abs(a.p22_mod2 - final.p22_mod2))
+        vals += [final.p12_mod2, final.p22_mod2, dev]
     return vals
 
 
 def _amplitudes_point(cfg, pt, final, starts):
-    q, u = _propagate(cfg, pt, starts)
-    a = u.apply(AmplitudePair(0.0, 1.0, q.t0))
+    a = _propagate(cfg, pt, starts)
     vals = [a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm]
     if cfg.oracle:
-        o1, o2 = final
+        o1, o2 = final.c1, final.c2
         vals += [o1.real, o1.imag, o2.real, o2.imag, max(abs(a.c1 - o1), abs(a.c2 - o2))]
     return vals
 
@@ -241,7 +251,7 @@ class _Quantity:
     axes: tuple  # names a sweep may vary
     columns: tuple  # value columns
     oracle_columns: tuple  # appended when the config asks for the oracle
-    point: Callable  # (cfg, grid point, DP45 final or None, starts) -> values, maybe more
+    point: Callable  # (cfg, grid point, DP45 AmplitudePair or None, starts) -> values, maybe more
     propagates: bool = False  # from t0 to t > t0; oracle columns from the DP45 finals
     exact_axes: bool = False  # the sweep must vary exactly `axes`, in order
 
@@ -309,12 +319,6 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     return Dataset(columns=names + values + ["error"], rows=rows, provenance=provenance)
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
-
-
 def emit(ds: Dataset, fmt: str, path=None) -> None:
     """Serialize a dataset as CSV or JSON to a path or file object."""
     if fmt not in FORMATS:
@@ -336,7 +340,7 @@ def emit(ds: Dataset, fmt: str, path=None) -> None:
                 fh.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
             fh.write(",".join(ds.columns) + "\n")
             for row in ds.rows:
-                fh.write(",".join(_fmt_value(v) for v in row) + "\n")
+                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
         else:
             # JSON has no NaN: a flagged row's cells are null
             rows = [[v if math.isfinite(v) else None for v in row] for row in ds.rows]

@@ -182,14 +182,31 @@ class TestBatch:
             assert abs(row[1] - single[1]) < 1e-9
 
     def test_overflowing_point_fails_fast(self):
-        # at beta = 400 the stages overflow to a NaN error norm; the controller
-        # must shrink the step until it underflows, not grow it until the budget,
-        # and numpy's overflow warnings stay silent (pytest turns them into errors)
+        # at beta = 400 the dynamical phase (~1e174 rad) cannot be resolved, so the
+        # phase check names that point before the first step, and numpy's overflow
+        # warnings stay silent (pytest turns them into errors)
         params = [ModelParams(2.0, 1.0, beta, 0.2, 0.5, 0.0, 1.0) for beta in (0.0, 400.0)]
         start = time.monotonic()
-        with pytest.raises(AccuracyError):
+        with pytest.raises(AccuracyError) as exc:
             integrate_tdse_batch(params, (0.0, 1.0), 0.0, 1.0)
         assert time.monotonic() - start < 5.0
+        assert exc.value.points == [1]
+
+    def test_overflowing_stages_underflow_the_step(self):
+        # a state near the float limit overflows the stages to a NaN error norm;
+        # the controller must shrink the step until it underflows, not grow it
+        # until the budget, with no RuntimeWarning (pytest turns them into errors)
+        p = ModelParams(2.0, 1.0, 0.0, 0.2, 2.0, 0.0, 5.0)  # figure 3 at Delta = 2
+        with pytest.raises(AccuracyError, match="step size underflow") as exc:
+            integrate_tdse_batch([p], (0.0, 1e308), 0.0, 5.0)
+        assert exc.value.points is None
+
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_STEPS", 10)
+        p = ModelParams(2.0, 1.0, 0.0, 0.2, 0.0, 0.0, 5.0)  # figure 3 at Delta = 0
+        with pytest.raises(AccuracyError, match="step budget 10 exhausted") as exc:
+            integrate_tdse_batch([p], (0.0, 1.0), 0.0, 5.0)
+        assert exc.value.points is None
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):

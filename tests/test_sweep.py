@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import exptwolevel.analytic as analytic
+import exptwolevel.cli as cli
 from exptwolevel.analytic import AmplitudePair, populations
 from exptwolevel.cli import main as cli_main
-from exptwolevel.errors import ConfigError, DegeneracyError, DomainError
+from exptwolevel.errors import AccuracyError, ConfigError, DegeneracyError, DomainError
 from exptwolevel.model import AxisSpec, ModelParams
 from exptwolevel.spectrum import energy_decomposition
 import exptwolevel.sweep as sweep
@@ -168,6 +169,20 @@ class TestDelegation:
         for quantity in ("populations", "amplitudes"):
             ds = run_sweep(small_cfg(quantity=quantity, axes=axes))
             assert [r[-1] for r in ds.rows] == [1, 1, 0]
+            # the oracle batch skips those rows and integrates the last one
+            ds = run_sweep(small_cfg(quantity=quantity, axes=axes, oracle=True))
+            assert [r[-1] for r in ds.rows] == [1, 1, 0]
+            assert ds.rows[-1][ds.columns.index("deviation")] < 1e-6
+
+    @pytest.mark.parametrize("quantity", ["populations", "amplitudes"])
+    def test_oracle_sweep_without_valid_rows(self, quantity, monkeypatch):
+        # every t <= t0: each row is flagged (code 1) and the oracle never runs
+        batches = []
+        monkeypatch.setattr(sweep, "integrate_tdse_batch", lambda *a, **k: batches.append(1))
+        ds = run_sweep(small_cfg(quantity=quantity, axes=(AxisSpec("t", -1.0, 0.0, 3),),
+                                 oracle=True))
+        assert [r[-1] for r in ds.rows] == [1, 1, 1]
+        assert batches == []
 
     def test_failed_start_flags_every_row(self):
         # one t0 basis serves the whole t axis, and its failed check flags each row
@@ -203,8 +218,8 @@ class TestDelegation:
         assert [r[-1] for r in ds.rows] == [3, 3, 3, 1, 1, 1, 1, 1]
 
     def test_oracle_failure_flags_only_its_row(self, tmp_path):
-        # at beta = 400 the oracle's phase is not resolvable and fails the shared
-        # batch; each point is then rerun alone, so only that row is flagged (code 3)
+        # at beta = 400 the oracle's phase is not resolvable: the phase check names
+        # that point, the batch runs again without it, and only its row is flagged (code 3)
         out = tmp_path / "o.json"
         rc = cli_main(["populations", "--axis1", "beta:0:400:2", "--oracle",
                        "--format", "json", "--output", str(out)])
@@ -215,17 +230,52 @@ class TestDelegation:
 
     def test_unresolvable_oracle_point_fails_fast(self):
         # figure 3 with beta in {-400, 0, 400}: at beta = 400 the oracle's phase
-        # (~1e176 rad) fails its batch before the first step, the points are
-        # rerun alone, and each other row equals its sweep without that point
+        # (~1e176 rad) fails its batch before the first step, and the other rows
+        # equal the sweep without that point
         base = sweep.FIGURES[3][0]
         start = time.monotonic()
         ds = run_sweep(SweepConfig(base, (AxisSpec("beta", -400.0, 400.0, 3),), "populations",
                                    oracle=True))
         assert time.monotonic() - start < 5.0
         assert [r[-1] for r in ds.rows] == [0, 0, 3]
+        rest = SweepConfig(base, (AxisSpec("beta", -400.0, 0.0, 2),), "populations", oracle=True)
+        assert run_sweep(rest).rows == ds.rows[:2]
+
+    def test_rejected_points_leave_one_batch(self, monkeypatch):
+        # figure 3 over beta in {0, 400} x Delta: the phase check rejects the 51
+        # beta = 400 points, and the other 51 run as one batch, not one by one
+        batches = []
+        batch = sweep.integrate_tdse_batch
+        monkeypatch.setattr(sweep, "integrate_tdse_batch",
+                            lambda *a, **k: batches.append(1) or batch(*a, **k))
+        base, (delta,), _ = sweep.FIGURES[3]
+        delta = AxisSpec("Delta", delta.start, delta.stop, 51)
+        ds = run_sweep(SweepConfig(base, (AxisSpec("beta", 0.0, 400.0, 2), delta), "populations",
+                                   oracle=True))
+        assert len(batches) <= 2
+        assert [r[-1] for r in ds.rows] == [0] * 51 + [3] * 51
+        alone = SweepConfig(base, (AxisSpec("beta", 0.0, 0.0, 1), delta), "populations",
+                            oracle=True)
+        assert run_sweep(alone).rows == ds.rows[:51]
+
+    def test_failure_while_stepping_reruns_each_point(self, monkeypatch):
+        # an AccuracyError raised once stepping has started names no point, so
+        # each point is rerun alone and only the one that fails again is flagged
+        batches = []
+        batch = sweep.integrate_tdse_batch
+
+        def fails_at_delta_one(params, *args, **kwargs):
+            batches.append(len(params))
+            if any(q.Delta == 1.0 for q in params):
+                raise AccuracyError("step size underflow")
+            return batch(params, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "integrate_tdse_batch", fails_at_delta_one)
+        ds = run_sweep(small_cfg(axes=(AxisSpec("Delta", -1.0, 1.0, 3),), oracle=True))
+        assert [r[-1] for r in ds.rows] == [0, 0, 3]
+        assert batches == [3, 1, 1, 1]
         for row in ds.rows[:2]:
-            alone = SweepConfig(base, (AxisSpec("beta", row[0], row[0], 1),), "populations",
-                                oracle=True)
+            alone = small_cfg(axes=(AxisSpec("Delta", row[0], row[0], 1),), oracle=True)
             assert run_sweep(alone).rows == [row]
 
     @pytest.mark.parametrize("quantity", ["rabi", "interferogram"])
@@ -329,6 +379,18 @@ class TestEmit:
 class TestCli:
     def test_selftest_green(self, capsys):
         assert cli_main(["selftest"]) == 0
+
+    def test_selftest_fails_on_flagged_row(self, capsys, monkeypatch):
+        # a flagged row in the middle of the oracle sweep has a NaN deviation,
+        # which must fail the check rather than drop out of its maximum
+        def one_flagged(cfg):
+            ds = run_sweep(cfg)
+            ds.rows[5] = ds.rows[5][:1] + [math.nan] * (len(ds.columns) - 2) + [3]
+            return ds
+
+        monkeypatch.setattr(cli, "run_sweep", one_flagged)
+        assert cli_main(["selftest"]) == 1
+        assert "FAIL closed form vs ODE oracle" in capsys.readouterr().out
 
     def test_spectrum_grid_size(self, tmp_path):
         out = tmp_path / "s.csv"
