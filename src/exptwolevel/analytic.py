@@ -208,5 +208,9 @@ def _propagator_end(p, t0, d, x0, b0, t: float) -> PropagatorMatrix:
 def populations(p: ModelParams, t0: float, t: float) -> AmplitudePair:
     """Amplitudes at time t of the initial state (0, 1) prepared at t0, that
     is column 2 of the propagator; the populations are its properties."""
-    u = propagator(p, t0, t)
-    return AmplitudePair(u.u12, u.u22, t)
+    return _prepared_in_lower(propagator(p, t0, t))
+
+
+def _prepared_in_lower(u: PropagatorMatrix) -> AmplitudePair:
+    """Amplitudes at u.t of the state (0, 1) prepared at u's start: column 2 of u."""
+    return AmplitudePair(u.u12, u.u22, u.t)

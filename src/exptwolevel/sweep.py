@@ -22,6 +22,7 @@ NaN values and a nonzero error code (1 = domain, 2 = degenerate basis,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from . import __version__
-from .analytic import AmplitudePair, _propagator_end, _propagator_start
+from .analytic import AmplitudePair, _prepared_in_lower, _propagator_end, _propagator_start
 from .analytic import populations  # noqa: F401  (perfbench's tracer wraps it under this name)
 from .errors import (
     AccuracyError,
@@ -169,9 +170,10 @@ def _oracle_finals(cfg: SweepConfig, pts: list) -> list:
 def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
     """Fill finals[i] for each (i, params, end time) of batch from one run.
 
-    Points the phase check rejects before the first step are flagged and the
-    rest run again as one batch.  A failure once stepping has started spoils
-    the step all points share, so each point is then rerun alone.
+    The phase check tests each point over the whole window: a rejected point
+    is flagged if its end time closes the window, else rerun over its own,
+    and the rest run again as one batch.  A failure once stepping has started
+    spoils the shared step, so each point is then rerun alone.
     """
     if not batch:
         return
@@ -185,9 +187,11 @@ def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
                 _batch_finals(cfg, [point], finals)
             return
         bad = set(range(len(batch)) if exc.points is None else exc.points)
-        for k in bad:
+        for k in bad:  # a rerun below overwrites the flag
             finals[batch[k][0]] = exc
         _batch_finals(cfg, [point for k, point in enumerate(batch) if k not in bad], finals)
+        _batch_finals(cfg, [point for k, point in enumerate(batch)
+                            if k in bad and point[2] < times[-1]], finals)
         return
     for row, (i, _, t_end) in enumerate(batch):
         c1, c2 = samples[times.index(t_end), row]
@@ -196,8 +200,8 @@ def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
 
 def _propagate(cfg, pt, starts: dict) -> AmplitudePair:
     """Closed-form amplitudes of a grid point for the initial state (0, 1) at
-    t0, column 2 of its propagator; `starts` holds one propagator start, or
-    the error it raised, per ModelParams of the rows sharing it."""
+    t0; `starts` holds one propagator start, or the error it raised, per
+    ModelParams of the rows sharing it."""
     q, t = _apply_point(cfg, pt)
     if q not in starts:
         try:
@@ -206,8 +210,7 @@ def _propagate(cfg, pt, starts: dict) -> AmplitudePair:
             starts[q] = exc
     if isinstance(starts[q], Exception):
         raise starts[q]
-    u = _propagator_end(*starts[q], t)
-    return AmplitudePair(u.u12, u.u22, t)
+    return _prepared_in_lower(_propagator_end(*starts[q], t))
 
 
 def _populations_point(cfg, pt, final, starts):
@@ -323,18 +326,14 @@ def emit(ds: Dataset, fmt: str, path=None) -> None:
     """Serialize a dataset as CSV or JSON to a path or file object."""
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
-    close = False
-    if path is None:
-        fh = sys.stdout
-    elif hasattr(path, "write"):
-        fh = path
+    if path is None or hasattr(path, "write"):  # the caller's stream stays open
+        out = contextlib.nullcontext(sys.stdout if path is None else path)
     else:
         try:
-            fh = open(path, "w", encoding="utf-8")
+            out = open(path, "w", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot write dataset to {path}: {exc}") from exc
-        close = True
-    try:
+    with out as fh:
         if fmt == "csv":
             for key, val in ds.provenance.items():
                 fh.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
@@ -347,9 +346,6 @@ def emit(ds: Dataset, fmt: str, path=None) -> None:
             json.dump({"provenance": ds.provenance, "columns": ds.columns, "rows": rows},
                       fh, indent=1, allow_nan=False)
             fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # Built-in figure sweeps: (base, axes, quantity).  Captions fix only some

@@ -258,6 +258,24 @@ class TestDelegation:
                             oracle=True)
         assert run_sweep(alone).rows == ds.rows[:51]
 
+    def test_rejected_point_before_window_end_is_rerun(self, monkeypatch):
+        # the phase check tests every point at the window end, the latest t of
+        # the batch: a t axis shares its ModelParams, so the check rejects each
+        # row, but only a row whose own phase is unresolvable (t > 10.7) is
+        # flagged, and the others run again over their own shorter window
+        batches = []
+        batch = sweep.integrate_tdse_batch
+        monkeypatch.setattr(sweep, "integrate_tdse_batch",
+                            lambda *a, **k: batches.append(1) or batch(*a, **k))
+        alone = run_sweep(small_cfg(axes=(AxisSpec("t", 5.0, 5.0, 1),), oracle=True))
+        for axis, codes in ((AxisSpec("t", 5.0, 12.0, 2), [0, 3]),
+                            (AxisSpec("t", 5.0, 17.0, 3), [0, 3, 3])):
+            batches.clear()
+            ds = run_sweep(small_cfg(axes=(axis,), oracle=True))
+            assert [r[-1] for r in ds.rows] == codes
+            assert len(batches) == len(codes)
+            assert ds.rows[:1] == alone.rows
+
     def test_failure_while_stepping_reruns_each_point(self, monkeypatch):
         # an AccuracyError raised once stepping has started names no point, so
         # each point is rerun alone and only the one that fails again is flagged
