@@ -1,9 +1,10 @@
 """Independent numerical reference for the dynamics.
 
-Solves i dC/dt = H(t) C with an embedded Dormand-Prince 4(5) pair, in the
-interaction picture: the diagonal of H only turns the phases of C1 and C2
-at the rate Omega(t), whose integral phi(t) from the window's start is
-elementary.  So the integrator follows a1 = e^{i phi} C1, a2 = e^{-i phi} C2,
+Solves i dC/dt = H(t) C with the embedded Dormand-Prince 8(5,3) pair (DOP853;
+Hairer, Norsett & Wanner, Solving ODEs I, II.10) in the interaction picture:
+the diagonal of H only turns the phases of C1 and C2 at the rate Omega(t),
+whose integral phi(t) from the window's start is elementary.  So the
+integrator follows a1 = e^{i phi} C1, a2 = e^{-i phi} C2,
 
     i da1/dt = delta e^{2i phi} a2,    i da2/dt = delta e^{-2i phi} a1,
 
@@ -22,11 +23,14 @@ is the one entry point for the Schroedinger equation; a single trajectory
 is a batch of one.
 
 A batch state holds a few hundred numbers, so a step costs numpy calls, not
-arithmetic.  The seven stages live as rows of one (7, size) array, and each
-stage input and the error estimate is one dot of a tableau row with those
-rows; the phase factors of the coupling are formed at all seven stage times
-of a step at once.  The tests pin step counts and sampled rows by digest, so
-a change to this arithmetic that moves any bit shows there.
+arithmetic.  The 12 stages and the FSAL row live as rows of one (13, size)
+array, read as real numbers; each stage input is one dot of a tableau row
+with those rows, the 5th- and 3rd-order error estimates e5 and e3 are one
+dot together, and the step's error is the largest
+|h| e5^2 / sqrt(e5^2 + 0.01 e3^2) of any entry.  The phase factors of the
+coupling are formed at all 13 stage times of a step at once.  The tests pin
+step counts and sampled rows by digest, so a change to this arithmetic that
+moves any bit shows there.
 """
 
 from __future__ import annotations
@@ -40,22 +44,43 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .model import ModelParams, derived_params, omega_integral, t_of_x
 
-# Dormand-Prince 4(5) tableau (FSAL, 7 stages); complex _A and _ERR cast nothing per dot
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [np.array(row, dtype=complex) for row in (
+# DOP853 tableau: 12 stages and the FSAL row, whose input (row 12 of _A) is the
+# 8th-order solution.  _ERR holds the 5th- and 3rd-order error weights E5 and E3
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0])
+_A = [np.array(row, dtype=float) for row in (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
 )]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_ERR = (_B5 - _B4).astype(complex)
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
+_E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+_ERR = np.array([_E5, _E3])
+_TINY = np.finfo(float).tiny
+METHOD = "DOP853"  # the pair _dop853 steps with, as the sweep provenance names it
 
 # the step never exceeds this fraction of the exponential's e-folding time 1/|alpha|
 STEP_CAP = 0.1
@@ -75,8 +100,8 @@ class IntegratorConfig:
             raise DomainError("integrator tolerances must be positive and finite")
 
 
-def _dp45(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
-    """Generic batched DP45 driver.
+def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
+    """Generic batched DOP853 driver.
 
     ``rhs(ts)`` takes the stage times of one step and returns ``f`` with
     ``f(i, y)`` the derivative at ``ts[i]``, so coefficients that depend on
@@ -102,8 +127,10 @@ def _dp45(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
 
     y = np.array(y0, dtype=complex)
     t = float(t0)
-    k = np.empty((7,) + y.shape, dtype=complex)
-    flat = k.reshape(7, -1)  # the stages as rows: every stage sum is one dot
+    k = np.empty((13,) + y.shape, dtype=complex)
+    # the stages as rows of real numbers, so every stage sum is one real dot: at
+    # figure batch sizes a complex dot took 0.01-2 ms on a 2-core machine, this 5 us
+    flat = k.reshape(13, -1).view(float)
     k[0] = rhs(np.array([t]))(0, y)
     h = direction * min(max_step, span / 100.0, 1e-2)
     accepted = rejected = 0
@@ -120,24 +147,25 @@ def _dp45(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
         clipped = (t + h - limit) * direction > 0
         h_try = limit - t if clipped else h
         f = rhs(t + _C * h_try)
-        for i in range(1, 7):  # row 6 of _A is _B5, so the last stage input is y5
-            y5 = y + h_try * (_A[i] @ flat[:i]).reshape(y.shape)
-            k[i] = f(i, y5)
-        err_vec = h_try * (_ERR @ flat).reshape(y.shape)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float((np.abs(err_vec) / scale).max())
+        for i in range(1, 13):  # row 12 of _A holds the 8th-order weights: the last input is y8
+            y8 = y + h_try * (_A[i] @ flat[:i]).view(complex).reshape(y.shape)
+            k[i] = f(i, y8)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y8))
+        e5, e3 = np.abs((_ERR @ flat).view(complex)) / scale.reshape(-1)
+        # the floor makes an entry with e5 = e3 = 0 (delta = 0) a 0, not 0/0; NaN stays NaN
+        err = abs(h_try) * float((e5 * (e5 / np.maximum(np.hypot(e5, 0.1 * e3), _TINY))).max())
         if math.isnan(err):
             err = math.inf  # overflowed stages: reject and shrink the step the most
         if err <= 1.0:
-            t, y = t + h_try, y5
-            k[0] = k[6]  # FSAL
+            t, y = t + h_try, y8
+            k[0] = k[12]  # FSAL
             accepted += 1
             while next_target < len(targets) and (t - targets[next_target][0]) * direction >= 0:
                 samples[targets[next_target][1]] = y
                 next_target += 1
         else:
             rejected += 1
-        factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
         h_new = abs(h_try) * factor
         if clipped and err <= 1.0:
             h_new = max(h_new, abs(h))  # clipping must not throttle the controller
@@ -193,12 +221,12 @@ def integrate_tdse_batch(
 
         ends = np.abs(two_phi([t0, t1]))
         # resolved means |phi| 2^-52 <= rel_tol; an unresolved phase would end only
-        # at MAX_STEPS, and a non-finite window is _dp45's DomainError
+        # at MAX_STEPS, and a non-finite window is _dop853's DomainError
         bad = np.flatnonzero(~np.all(ends <= 2.0**53 * cfg.rel_tol, axis=0)).tolist()
         if math.isfinite(t1 - t0) and bad:
             raise AccuracyError(f"dynamical phase up to {np.max(ends) / 2} rad on [{t0}, {t1}] "
                                 f"is not resolved at rel_tol {cfg.rel_tol}", points=bad)
-        samples, _, _ = _dp45(rhs, t0, t1, y0, cfg, max_step, times)
+        samples, _, _ = _dop853(rhs, t0, t1, y0, cfg, max_step, times)
         # back to the lab frame: c1 = e^{-i phi} a1, c2 = e^{i phi} a2
         samples *= np.exp(0.5j * two_phi(times)[..., None] * [-1.0, 1.0])
     return samples[0] if t_eval is None else samples
@@ -245,7 +273,7 @@ def transformed_ode_check(p: ModelParams, x0: float, x1: float,
     # initial state C(t(x0)) = (0, 1): psi = 1, x psi' = -i c C1 = 0
     u0 = np.array([1.0, 0.0], dtype=complex)
     xs = np.linspace(x0, x1, TRANSFORMED_SAMPLES)
-    samp_x, _, _ = _dp45(lambda xi: lambda i, u: f(xi[i], u), x0, x1, u0, cfg, math.inf, xs)
+    samp_x, _, _ = _dop853(lambda xi: lambda i, u: f(xi[i], u), x0, x1, u0, cfg, math.inf, xs)
     ts = np.array([t_of_x(p, float(x)) for x in xs])
     t_init = float(ts[0])
     samp_t = integrate_tdse_batch([p], (0.0, 1.0), t_init, float(ts[-1]), cfg, t_eval=ts)

@@ -7,7 +7,7 @@ with a full provenance header.
 
 Every quantity is one entry of a table: the axes it may sweep, its value
 columns, and the function that evaluates one grid point.  Points run
-serially in grid order.  For populations and amplitudes the DP45 oracle runs
+serially in grid order.  For populations and amplitudes the oracle runs
 once per sweep, as one batch over every point sampled at each point's end
 time, so datasets are bitwise reproducible; the closed form builds the t0
 basis once per parameter set, which a t axis shares.  A row reads its
@@ -40,7 +40,7 @@ from .errors import (
     ExponentOverflowError,
 )
 from .model import AxisSpec, ModelParams, json_number
-from .oracle import IntegratorConfig, integrate_tdse_batch
+from .oracle import METHOD, IntegratorConfig, integrate_tdse_batch
 from .rabi import RabiParams, rabi_survival_closed_form, rabi_survival_oracle
 from .spectrum import energy_decomposition
 from .specfun import ACCURACY_TARGET
@@ -254,8 +254,8 @@ class _Quantity:
     axes: tuple  # names a sweep may vary
     columns: tuple  # value columns
     oracle_columns: tuple  # appended when the config asks for the oracle
-    point: Callable  # (cfg, grid point, DP45 AmplitudePair or None, starts) -> values, maybe more
-    propagates: bool = False  # from t0 to t > t0; oracle columns from the DP45 finals
+    point: Callable  # (cfg, grid point, oracle AmplitudePair | None, starts) -> values, maybe more
+    propagates: bool = False  # from t0 to t > t0; oracle columns from the batch finals
     exact_axes: bool = False  # the sweep must vary exactly `axes`, in order
 
 
@@ -316,7 +316,7 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     provenance = {
         "generator": f"exptwolevel {__version__}",
         "config": cfg.to_json_dict(),
-        "integrator": {"rel_tol": _ORACLE_CFG.rel_tol, "abs_tol": _ORACLE_CFG.abs_tol},
+        "integrator": {"method": METHOD, **asdict(_ORACLE_CFG)},
         "specfun_accuracy_target": ACCURACY_TARGET,
     }
     return Dataset(columns=names + values + ["error"], rows=rows, provenance=provenance)

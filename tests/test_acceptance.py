@@ -54,9 +54,9 @@ FIGURE_SETS = {
 # recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.  Other versions
 # may round the last bits differently.
 FIGURE_ROW_DIGESTS = {
-    2: "632f693e9b5855985ac7fb9c2136160e3fe77223cb0e72193c2a49c349f554de",
-    3: "c96ec750ee1658053e7db98cd24a820026b501f7a3191e5c0341e1536e079ac6",
-    4: "7a58db0d4efe6db28c53cdc6267232762171a98d50bbe4012c9fd8927fd80649",
+    2: "e421d039f972f641ec1b64b4a28bc2576d0d943193d155b650cabbfe389e5797",
+    3: "acd873d40ade0ab3d158139b53aa4d4325d78f7c3431fd3342539ac35aba9581",
+    4: "c6214bb9f1accce13c56c7ed49cdb2397f5817d20017d7e572c4605d92653102",
     5: "bc084c8c52df10d80e2868395df92e48fbdee2e478deee1cdbc7c5918a5e6f20",
     6: "47ed6c316a6e0ffa615349871d5db26158044f0592cf4797df6d39288528571a",
     7: "c972e955833d7f1099560e3239ac763bfdfa2e5519c69e9ec7e9bf66fc10e2af",

@@ -2,18 +2,23 @@
 with the lab-frame equation, pinned step counts and rows, and the
 constant-Hamiltonian matrix exponential."""
 
+import cmath
 import hashlib
 import io
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exptwolevel
 import exptwolevel.oracle as oracle
 from exptwolevel import specfun
 from exptwolevel.errors import AccuracyError, DomainError
-from exptwolevel.model import AxisSpec, ModelParams, x_of_t
+from exptwolevel.model import AxisSpec, ModelParams, omega_integral, x_of_t
 from exptwolevel.oracle import (
     IntegratorConfig,
     constant_h_propagator,
@@ -38,7 +43,7 @@ def final(p, init, t0, t1, cfg=TIGHT):
 
 def lab_frame(params, init, t0, t1, t_eval):
     """Samples of i dC/dt = H(t) C as it stands, dynamical phase and all, from
-    the same DP45 driver at TIGHT: the reference for the oracle, which
+    the same DOP853 driver at TIGHT: the reference for the oracle, which
     integrates the interaction-picture amplitudes instead."""
     A, alpha, beta, eps, Delta = (np.array([getattr(q, f) for q in params])
                                   for f in ("A", "alpha", "beta", "epsilon", "Delta"))
@@ -52,22 +57,22 @@ def lab_frame(params, init, t0, t1, t_eval):
 
     y0 = np.broadcast_to(np.asarray(init, dtype=complex), (len(params), 2)).copy()
     max_step = oracle.STEP_CAP / np.max(np.abs(alpha))
-    return oracle._dp45(rhs, t0, t1, y0, TIGHT, max_step, t_eval)[0]
+    return oracle._dop853(rhs, t0, t1, y0, TIGHT, max_step, t_eval)[0]
 
 
 @pytest.fixture
 def step_counts(monkeypatch):
-    """(accepted, rejected) of every _dp45 run, in call order; the driver
+    """(accepted, rejected) of every _dop853 run, in call order; the driver
     counts its steps, integrate_tdse_batch returns only amplitudes."""
     counts = []
-    dp45 = oracle._dp45
+    dop853 = oracle._dop853
 
     def counted(*args, **kwargs):
-        out = dp45(*args, **kwargs)
+        out = dop853(*args, **kwargs)
         counts.append(out[1:])
         return out
 
-    monkeypatch.setattr(oracle, "_dp45", counted)
+    monkeypatch.setattr(oracle, "_dop853", counted)
     return counts
 
 
@@ -208,9 +213,50 @@ class TestBatch:
             integrate_tdse_batch([p], (0.0, 1.0), 0.0, 5.0)
         assert exc.value.points is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_uncoupled_point_keeps_its_phases(self):
+        # at delta = 0 (epsilon = Delta = 0) every stage of a point is 0, so both of
+        # its error estimates are 0 and their ratio is 0/0; the batch must still
+        # step with its figure-3 neighbour, and the point only turns its phases
+        free = ModelParams(2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 5.0)
+        fig3 = ModelParams(2.0, 1.0, 0.0, 0.2, 1.0, 0.0, 5.0)
+        (c1, c2), _ = integrate_tdse_batch([free, fig3], (1.0, 1.0), 0.0, 5.0)
+        phi = omega_integral(free, 0.0, 5.0)
+        assert abs(c1 - cmath.exp(-1j * phi)) < 1e-12
+        assert abs(c2 - cmath.exp(1j * phi)) < 1e-12
+
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
             integrate_tdse_batch([], (0.0, 1.0), 0.0, 1.0)
+
+
+class TestTableau:
+    """The DOP853 coefficients, typed in as literals; a mistyped one would
+    otherwise show only as extra steps."""
+
+    def test_rows_sum_to_nodes(self):
+        assert len(oracle._A) == len(oracle._C) == 13
+        for row, c in zip(oracle._A, oracle._C):
+            assert abs(row.sum() - c) < 1e-14
+
+    def test_weights_integrate_polynomials_to_order_8(self):
+        b, c = oracle._A[-1].real, oracle._C[:12]
+        for k in range(8):
+            assert abs(b @ c**k - 1 / (k + 1)) < 1e-14
+
+    def test_error_weights_sum_to_zero(self):
+        assert abs(oracle._E5.sum()) < 1e-14
+        assert abs(oracle._E3.sum()) < 1e-14
+
+    def test_import_leaves_scipy_integrate_out(self):
+        # the tableau is literal: importing scipy.integrate would add about 0.3 s
+        # and 25 MB to every process that imports the package
+        src = str(Path(exptwolevel.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import exptwolevel; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert out.stdout.split() == ["False"]
 
 
 class TestLabFrameReference:
@@ -242,7 +288,7 @@ class TestPinnedRuns:
     # sweep: amplitudes over t 0.2..4 (20) x Delta -1.5..1.5 (7) at the
     # figure-3 base, oracle on, so the batch is sampled at 20 end times.
     # Recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
-    TSCAN_DIGEST = "05ee33e286c4611e466220e1ffd5f55553d1aba831c527b81e35fd8a11da21a9"
+    TSCAN_DIGEST = "87b8601592f50f60b5c1105e4fd2148a781e23e93228cbc3a9022c6420e31d15"
 
     def test_tscan_rows_and_steps(self, step_counts, taylor_sums):
         cfg = SweepConfig(
@@ -255,19 +301,19 @@ class TestPinnedRuns:
             line for line in buf.getvalue().splitlines(keepends=True) if not line.startswith("#")
         )
         assert hashlib.sha256(body.encode()).hexdigest() == self.TSCAN_DIGEST
-        assert step_counts == [(1147, 1)]
+        assert step_counts == [(247, 0)]
         # 7 Delta values: one t0 basis each, and a basis at each of the 14 t with
         # |z| <= TAYLOR_RADIUS; a basis is four distinct M sums
         assert len(taylor_sums) == 7 * (1 + 14) * 4
 
     def test_figure3_steps(self, step_counts, taylor_sums):
         run_sweep(_figure_config(3))
-        assert step_counts == [(2585, 1)]
+        assert step_counts == [(575, 0)]
         # 201 points, each with one series-route basis (at t0; |z| = 2) of four sums
         assert len(taylor_sums) == 201 * 4
 
     @pytest.mark.parametrize(
-        "n, steps", [(2, (2112, 1)), (4, (2754, 1))], ids=["figure-2", "figure-4"]
+        "n, steps", [(2, (417, 0)), (4, (601, 0))], ids=["figure-2", "figure-4"]
     )
     def test_figure_steps(self, n, steps, step_counts):
         run_sweep(_figure_config(n))

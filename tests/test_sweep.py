@@ -353,6 +353,12 @@ class TestEmit:
         assert all(len(ln.split(",")) == ncol for ln in body)
         assert len(body) == 1 + len(ds.rows)
 
+    def test_provenance_names_the_integrator(self):
+        # a diff of two datasets then shows why their oracle columns differ
+        ds = run_sweep(small_cfg(oracle=True))
+        assert ds.provenance["integrator"] == {"method": "DOP853", "rel_tol": 1e-11,
+                                               "abs_tol": 1e-13}
+
     def test_csv_17_digits(self, tmp_path):
         ds = Dataset(columns=["x"], rows=[[1.0 / 3.0]], provenance={"note": "t"})
         path = tmp_path / "x.csv"
