@@ -30,7 +30,6 @@ from .spectrum import (
 )
 from .rabi import (
     RabiParams,
-    RabiSurvival,
     rabi_limit_convergence,
     rabi_survival_closed_form,
     rabi_survival_oracle,

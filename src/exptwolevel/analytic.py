@@ -112,8 +112,7 @@ class PropagatorMatrix:
 
 def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
     """Evaluate both fundamental solution columns at x > 0."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
+    _require_positive(x)
     if d.c == 0:
         raise DegeneracyError("zero coupling: the system is diagonal, no basis needed")
     mu, g, z = d.mu1, d.gamma, d.b * x
@@ -132,9 +131,9 @@ def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
     )
 
 
-def gauge_factor(p: ModelParams, t0: float, t: float) -> complex:
-    """exp(i * integral of the detuning from t0 to t), the stripped phase."""
-    return cmath.exp(1j * omega_integral(p, t0, t))
+def _require_positive(x: float) -> None:
+    if not 0 < x < math.inf:  # NaN fails it too
+        raise DomainError(f"x must be positive and finite, got {x}")
 
 
 def transition_parameter_omega12(d: DerivedParams, x: float) -> complex:
@@ -143,6 +142,7 @@ def transition_parameter_omega12(d: DerivedParams, x: float) -> complex:
     Equal to (i/c) * Gamma(gamma)/Gamma(mu) * x^(2 mu) * (b x)^(1-gamma)
     * exp(b x); follows from the Wronskian of the Kummer/Tricomi pair.
     """
+    _require_positive(x)
     if d.c == 0:
         raise DomainError("zero coupling: determinant formula undefined")
     if _nonpositive_int(d.mu1):
@@ -184,8 +184,9 @@ def _propagator_start(p: ModelParams, t0: float) -> tuple:
 def _propagator_end(p, t0, d, x0, b0, t: float) -> PropagatorMatrix:
     """U(t, t0) from a start.  The determinant check at t0 runs after the
     basis at t, so a point that fails both raises the error of the basis at t."""
+    # the stripped gauge phase exp(i * integral of the detuning from t0 to t)
+    ph = cmath.exp(1j * omega_integral(p, t0, t))
     if b0 is None:
-        ph = gauge_factor(p, t0, t)
         return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t=t)
     bt = basis_solutions(d, x_of_t(p, t))
     w12 = transition_parameter_omega12(d, x0)
@@ -194,7 +195,6 @@ def _propagator_end(p, t0, d, x0, b0, t: float) -> PropagatorMatrix:
     residual = abs((b0.u2 * b0.v1 - b0.v2 * b0.u1) / w12 - 1)
     if not residual <= BASIS_RESIDUAL_LIMIT:  # NaN raises too
         raise AccuracyError(f"basis residual {residual:.2e} at t0 = {t0}", residual=residual)
-    ph = gauge_factor(p, t0, t)
     s = ph / w12
     return PropagatorMatrix(
         u11=s * (bt.u2 * b0.v1 - bt.v2 * b0.u1),

@@ -30,8 +30,10 @@ class AccuracyError(ArithmeticError):
 class ExponentOverflowError(OverflowError):
     """An exp() argument exceeded the supported range; names the exponent."""
 
+    LIMIT = 700.0  # the largest |argument| the model and specfun pass to exp()
+
     def __init__(self, exponent):
-        super().__init__(f"exp argument {exponent!r} outside safe range (|arg| > 700)")
+        super().__init__(f"exp argument {exponent!r} outside safe range (|arg| > {self.LIMIT:g})")
         self.exponent = exponent
 
 

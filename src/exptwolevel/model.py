@@ -14,8 +14,8 @@ form with parameters (a, b, c) and exponents (mu1, mu2); see `analytic`.
 
 Unit convention: all five constants are taken in mutually consistent
 frequency/time units; no internal conversion is performed.  Exponents
-|alpha*t + beta| > 700 are rejected rather than saturated so that silent
-infinities never reach the special functions.
+|alpha*t + beta| > ExponentOverflowError.LIMIT are rejected rather than
+saturated so that silent infinities never reach the special functions.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import DomainError, ExponentOverflowError
-
-_EXP_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ def _checked_exponent(p: ModelParams, t: float) -> float:
     w = p.alpha * t + p.beta
     if math.isnan(w):  # alpha and beta are finite, so t is NaN
         raise DomainError(f"time must be a number, got t = {t}")
-    if abs(w) > _EXP_LIMIT:
+    if abs(w) > ExponentOverflowError.LIMIT:
         raise ExponentOverflowError(w)
     return w
 

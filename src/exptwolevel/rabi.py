@@ -10,13 +10,14 @@ Rev. 51, 652 (1937)) with coupling d and detuning eps,
 
     P(t) = d^2 / (eps^2 + d^2) * sin^2(sqrt(eps^2 + d^2) t / 2),
 
-evaluated literally over the complex numbers (principal square root): its
-modulus is |U21|^2 at every Delta, and at Delta = 0 it is real and equals
-|U21|^2.  Alongside it are an independent matrix-exponential oracle for the
-same constant Hamiltonian and a convergence check quantifying how fast the
-exponential model approaches this limit.  The closed form and the oracle are
-kept as separate routes so that each checks the other; the 2-D interferogram
-over (t, epsilon) is an `interferogram` sweep (see `sweep`).
+evaluated literally over the complex numbers (principal square root) and
+returned as one complex number: its modulus is |U21|^2 at every Delta, and
+at Delta = 0 it is real and equals |U21|^2.  Alongside it are an independent
+matrix-exponential oracle for the same constant Hamiltonian and a convergence
+check quantifying how fast the exponential model approaches this limit.  The
+closed form and the oracle are kept as separate routes so that each checks
+the other; the 2-D interferogram over (t, epsilon) is an `interferogram`
+sweep (see `sweep`).
 """
 
 from __future__ import annotations
@@ -43,36 +44,26 @@ class RabiParams:
         require_finite(self)
 
 
-@dataclass(frozen=True)
-class RabiSurvival:
-    """Complex closed-form value of the 1 -> 2 transfer probability, with its
-    reporting projections.  It is zero at t = 0."""
-
-    value: complex
-    real_part: float
-    modulus: float
-
-
 def _rabi_hamiltonian(epsilon: float, Delta: float) -> np.ndarray:
     om = 0.5 * epsilon
     d = 0.5 * complex(epsilon, Delta)
     return np.array([[om, d], [d, -om]], dtype=complex)
 
 
-def rabi_survival_closed_form(r: RabiParams) -> RabiSurvival:
+def rabi_survival_closed_form(r: RabiParams) -> complex:
     """Literal complex evaluation of Rabi's transfer probability
     d^2 / (eps^2 + d^2) * sin^2(sqrt(eps^2 + d^2) t / 2), d = eps + i Delta.
 
     This is the probability of the 1 -> 2 transfer from the initial state
-    (1, 0), zero at t = 0; its modulus equals the oracle's p12_mod2.
+    (1, 0), zero at t = 0; a sweep reports its real part and its modulus,
+    which equals the oracle's p12_mod2.
     """
     d2 = complex(r.epsilon, r.Delta) ** 2
     denom = r.epsilon ** 2 + d2
     if abs(denom) < 1e-300:
         raise DegeneracyError("degenerate frequency: eps^2 + (eps + i Delta)^2 = 0")
     freq = cmath.sqrt(denom)
-    value = d2 / denom * cmath.sin(0.5 * freq * r.t) ** 2
-    return RabiSurvival(value=value, real_part=value.real, modulus=abs(value))
+    return d2 / denom * cmath.sin(0.5 * freq * r.t) ** 2
 
 
 def rabi_survival_oracle(r: RabiParams) -> AmplitudePair:

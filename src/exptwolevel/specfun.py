@@ -8,10 +8,11 @@ One route rule serves both functions (thresholds are the constants below):
   to |z| = 50); U is the two-M connection formula.
 * ``|z| > TAYLOR_RADIUS``: the asymptotic route, the large-|z| Poincare
   series truncated at the smallest term.
-* If the chosen route misses ACCURACY_TARGET and RETRY_MIN <= |z| <=
-  RETRY_RADIUS, the other route is tried and the better estimate kept.  The
-  Taylor sum has no estimate, so M retries only above the radius.  A value
-  that still misses the target raises ``AccuracyError``.
+* If the chosen route misses ACCURACY_TARGET (a NaN estimate misses it
+  too) and RETRY_MIN <= |z| <= RETRY_RADIUS, the other route is tried and
+  the better estimate kept.  The Taylor sum has no estimate, so M retries
+  only above the radius.  A value that still misses the target raises
+  ``AccuracyError``.  A non-finite argument raises ``DomainError``.
 
 Integer second parameter of U takes, inside the radius, the average at
 ``gamma +/- INTEGER_OFFSET``, which cancels the O(h) term of the degenerate
@@ -50,6 +51,14 @@ _TAYLOR_CONTEXT = Context(prec=TAYLOR_DIGITS)
 _TAYLOR_STOP = Decimal("1e-66")  # on |term|^2 / |sum|^2
 
 
+def _finite(*args) -> tuple:
+    """The arguments as complex numbers; DomainError unless each is finite."""
+    args = tuple(map(complex, args))
+    if not all(map(cmath.isfinite, args)):
+        raise DomainError(f"arguments must be finite, got {args}")
+    return args
+
+
 def _nonpositive_int(z) -> bool:
     z = complex(z)
     if abs(z.imag) > _INT_TOL:
@@ -60,7 +69,7 @@ def _nonpositive_int(z) -> bool:
 
 def ln_gamma_complex(z) -> complex:
     """Principal branch of log Gamma(z); rejects the poles."""
-    z = complex(z)
+    (z,) = _finite(z)
     if _nonpositive_int(z):
         raise PoleError(f"log Gamma pole at z = {z}", location=round(z.real))
     return complex(_loggamma(z))
@@ -75,7 +84,7 @@ def _rgamma(z) -> complex:
 
 def _safe_exp(z) -> complex:
     z = complex(z)
-    if z.real > 700.0:
+    if z.real > ExponentOverflowError.LIMIT:
         raise ExponentOverflowError(z)
     return cmath.exp(z)
 
@@ -113,7 +122,8 @@ def _kummer_taylor(a, b, z) -> complex:
             raise AccuracyError(
                 f"Kummer Taylor series did not converge in {MAX_TAYLOR_TERMS} terms "
                 f"for a={a}, b={b}, z={z}",
-                residual=(float(t2) / max(float(sr * sr + si * si), 1e-300)) ** 0.5,
+                # in decimal: the float conversions can overflow to inf / inf
+                residual=float((t2 / max(sr * sr + si * si, Decimal("1e-300"))).sqrt()),
             )
     return complex(float(sr), float(si))
 
@@ -173,11 +183,12 @@ def _route(name, series, asymptotic, mu, gamma, z):
     r = abs(z)
     first, other = (series, asymptotic) if r <= TAYLOR_RADIUS else (asymptotic, series)
     val, err = first(mu, gamma, z)
-    if err > ACCURACY_TARGET and other is not None and RETRY_MIN <= r <= RETRY_RADIUS:
+    # written so that a NaN estimate (an overflowed sum) fails the target too
+    if not err <= ACCURACY_TARGET and other is not None and RETRY_MIN <= r <= RETRY_RADIUS:
         alt, alt_err = other(mu, gamma, z)
-        if alt_err < err:
+        if alt_err < err or cmath.isnan(err):
             val, err = alt, alt_err
-    if err > ACCURACY_TARGET:
+    if not err <= ACCURACY_TARGET:
         raise AccuracyError(
             f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}", residual=err
         )
@@ -189,7 +200,7 @@ def _route(name, series, asymptotic, mu, gamma, z):
 
 def kummer_m(mu, gamma, z) -> complex:
     """Kummer's function M(mu, gamma, z) on the principal branch."""
-    mu, gamma, z = complex(mu), complex(gamma), complex(z)
+    mu, gamma, z = _finite(mu, gamma, z)
     if _nonpositive_int(gamma):
         raise PoleError(
             f"M(mu, gamma, z) undefined: gamma = {gamma} is a non-positive integer",
@@ -230,7 +241,7 @@ def tricomi_u(mu, gamma, z) -> complex:
 def _tricomi_u(mu, gamma, z, m=None):
     """`tricomi_u`, whose connection formula takes m = kummer_m(mu, gamma, z)
     from a caller that already summed it."""
-    mu, gamma, z = complex(mu), complex(gamma), complex(z)
+    mu, gamma, z = _finite(mu, gamma, z)
     if mu == 0:
         return 1.0 + 0.0j  # terminating series, any gamma and z
     if z == 0:
@@ -269,7 +280,7 @@ def wronskian_residual(mu, gamma, z) -> float:
     The minus sign is the convention this implementation's M and U satisfy
     (fixed empirically once; the bare identity is sometimes quoted unsigned).
     """
-    mu, gamma, z = complex(mu), complex(gamma), complex(z)
+    mu, gamma, z = _finite(mu, gamma, z)
     if _nonpositive_int(mu):
         raise PoleError(
             f"Wronskian prefactor Gamma(mu) pole at mu = {mu}", location=round(mu.real)

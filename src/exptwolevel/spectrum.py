@@ -10,8 +10,10 @@ which downstream tests pin numerically.
 The real/imaginary decomposition writes 2E = |Z|^(1/2) exp(i*phi) with
 Z = (2 Omega)^2 + epsilon^2 - Delta^2 + 2 i epsilon Delta and
 phi = arg(Z)/2 computed with the two-argument arctangent, so the split
-stays well-defined when the real part of Z crosses zero.  The 2-D energy
-maps of the paper are `spectrum` sweeps (see `sweep`).
+stays well-defined when the real part of Z crosses zero.  Its record holds
+E+, E-, phi and |Z|^(1/2), and a `spectrum` sweep row reads the real and
+imaginary parts of E+ and E-; the 2-D energy maps of the paper are such
+sweeps (see `sweep`).
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ from .model import ModelParams, coupling, detuning
 class EnergyDecomposition:
     e_plus: complex
     e_minus: complex
-    re_plus: float
-    im_plus: float
-    re_minus: float
-    im_minus: float
     phi: float
     z_mag: float
 
@@ -69,14 +67,5 @@ def energy_decomposition(p: ModelParams, t: float) -> EnergyDecomposition:
     im_z = 2.0 * p.epsilon * p.Delta
     phi = 0.5 * math.atan2(im_z, re_z)
     z_mag = math.hypot(re_z, im_z) ** 0.5
-    return EnergyDecomposition(
-        e_plus=e_plus,
-        e_minus=e_minus,
-        re_plus=e_plus.real,
-        im_plus=e_plus.imag,
-        re_minus=e_minus.real,
-        im_minus=e_minus.imag,
-        phi=phi,
-        z_mag=z_mag,
-    )
+    return EnergyDecomposition(e_plus=e_plus, e_minus=e_minus, phi=phi, z_mag=z_mag)
 

@@ -10,8 +10,11 @@ columns, and the function that evaluates one grid point.  Points run
 serially in grid order.  For populations and amplitudes the oracle runs
 once per sweep, as one batch over every point sampled at each point's end
 time, so datasets are bitwise reproducible; the closed form builds the t0
-basis once per parameter set, which a t axis shares.  A row reads its
-columns off the `AmplitudePair` of each route.  The 2-D energy maps of the
+basis once per parameter set, which a t axis shares.  Each row reads its
+columns off the values the routes return: a populations or amplitudes row
+off the `AmplitudePair` of each route, a spectrum row off the parts of the
+two eigenvalues, and a rabi row off the real part and modulus of the complex
+closed form and the oracle's `AmplitudePair`.  The 2-D energy maps of the
 paper are `spectrum` sweeps and its Rabi interferogram is an `interferogram`
 sweep over (t, epsilon).
 
@@ -23,6 +26,7 @@ NaN values and a nonzero error code (1 = domain, 2 = degenerate basis,
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -128,13 +132,8 @@ def _error_code(exc: Exception) -> int:
 
 def _grid_points(cfg: SweepConfig):
     """Row-major list of {axis_name: value} dicts."""
-    if len(cfg.axes) == 1:
-        return [{cfg.axes[0].name: v} for v in cfg.axes[0].values()]
-    return [
-        {cfg.axes[0].name: v1, cfg.axes[1].name: v2}
-        for v1 in cfg.axes[0].values()
-        for v2 in cfg.axes[1].values()
-    ]
+    names = [ax.name for ax in cfg.axes]
+    return [dict(zip(names, vals)) for vals in itertools.product(*(ax.values() for ax in cfg.axes))]
 
 
 def _apply_point(cfg: SweepConfig, pt: dict):
@@ -233,7 +232,7 @@ def _amplitudes_point(cfg, pt, final, starts):
 
 def _spectrum_point(cfg, pt, final, starts):
     d = energy_decomposition(*_apply_point(cfg, pt))
-    return [d.re_plus, d.im_plus, d.re_minus, d.im_minus, d.phi, d.z_mag]
+    return [d.e_plus.real, d.e_plus.imag, d.e_minus.real, d.e_minus.imag, d.phi, d.z_mag]
 
 
 def _rabi_point(cfg, pt, final, starts):
@@ -242,10 +241,10 @@ def _rabi_point(cfg, pt, final, starts):
     b = cfg.base
     r = RabiParams(pt.get("epsilon", b.epsilon), pt.get("Delta", b.Delta), pt.get("t", b.t1))
     cf = rabi_survival_closed_form(r)
-    vals = [cf.real_part, cf.modulus]
+    vals = [cf.real, abs(cf)]
     if cfg.oracle:
         orc = rabi_survival_oracle(r)
-        vals += [orc.p22_mod2, orc.p12_mod2, abs(cf.modulus - orc.p12_mod2)]
+        vals += [orc.p22_mod2, orc.p12_mod2, abs(abs(cf) - orc.p12_mod2)]
     return vals
 
 

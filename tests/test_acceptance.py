@@ -201,7 +201,7 @@ def test_criterion_4_eigenvalue_consistency():
         for D in np.linspace(-3.0, 3.0, 121):
             q = ModelParams(1.0, -15.0, 0.0, eps, float(D), 0.0, 7.0)
             d = energy_decomposition(q, 7.0)
-            signs.add(math.copysign(1.0, d.re_plus**2 - d.im_plus**2))
+            signs.add(math.copysign(1.0, d.e_plus.real**2 - d.e_plus.imag**2))
         return len(signs) == 2
 
     zones = zone_mixed(2.0) and not zone_mixed(3.0)
@@ -223,7 +223,7 @@ def test_criterion_5_rabi_limit():
     period = math.sqrt(2.0) * math.pi / eps
     red = 0.0
     for t in np.linspace(0.0, 3.0 * period, 151):
-        got = rabi_survival_closed_form(RabiParams(eps, 0.0, float(t))).value
+        got = rabi_survival_closed_form(RabiParams(eps, 0.0, float(t)))
         expect = 0.5 * math.sin(eps * float(t) / math.sqrt(2.0)) ** 2
         red = max(red, abs(got - expect))
 
@@ -233,7 +233,7 @@ def test_criterion_5_rabi_limit():
     for t in np.linspace(0.0, 3.0 * period, 151):
         cf = rabi_survival_closed_form(RabiParams(eps, 0.0, float(t)))
         orc = rabi_survival_oracle(RabiParams(eps, 0.0, float(t)))
-        gap = max(gap, abs(cf.real_part - orc.p12_mod2))
+        gap = max(gap, abs(cf.real - orc.p12_mod2))
 
     p = ModelParams(A=1.0, alpha=1.0, beta=0.0, epsilon=1.0, Delta=0.3, t0=-40.0, t1=0.0)
     mags, devs = [], []

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from exptwolevel.analytic import populations, propagator
+from exptwolevel.analytic import (
+    basis_solutions,
+    populations,
+    propagator,
+    transition_parameter_omega12,
+)
 from exptwolevel.errors import DomainError, ExponentOverflowError
 from exptwolevel.model import (
     AxisSpec,
@@ -22,6 +27,7 @@ from exptwolevel.model import (
     x_of_t,
 )
 from exptwolevel.rabi import RabiParams, rabi_limit_convergence, rabi_survival_closed_form
+from exptwolevel.specfun import kummer_m, ln_gamma_complex, tricomi_u, wronskian_residual
 from exptwolevel.spectrum import energy_decomposition
 
 
@@ -74,10 +80,18 @@ DECOUPLED = replace(P, epsilon=0.0, Delta=0.0)
      lambda: detuning(P, math.nan), lambda: t_of_x(P, math.nan),
      lambda: rabi_survival_closed_form(RabiParams(math.nan, 0.2, 1.0)),
      lambda: RabiParams(0.2, 0.2, math.inf),
-     lambda: rabi_limit_convergence(replace(P, alpha=-1.0, beta=-20.0), math.nan)],
+     lambda: rabi_limit_convergence(replace(P, alpha=-1.0, beta=-20.0), math.nan),
+     lambda: kummer_m(math.nan, 1.0, 0.5), lambda: kummer_m(0.5, math.nan, 0.5),
+     lambda: kummer_m(0.5, 1.5, math.nan), lambda: ln_gamma_complex(math.nan),
+     lambda: tricomi_u(0.5, 1.5, math.nan), lambda: tricomi_u(0.5, 1.5, math.inf),
+     lambda: wronskian_residual(0.5, 1.5, math.nan),
+     lambda: basis_solutions(derived_params(P), math.nan),
+     lambda: transition_parameter_omega12(derived_params(P), math.nan)],
     ids=["propagator-t", "propagator-t0", "propagator-decoupled", "populations",
          "energy_decomposition", "x_of_t", "detuning", "t_of_x", "rabi-closed-form",
-         "rabi-params-inf", "rabi-limit-convergence"],
+         "rabi-params-inf", "rabi-limit-convergence", "kummer-mu", "kummer-gamma",
+         "kummer-z", "ln-gamma", "tricomi-z", "tricomi-z-inf", "wronskian-z",
+         "basis-x", "omega12-x"],
 )
 def test_non_finite_input_raises(call):
     # a NaN time or parameter raises instead of returning NaN

@@ -147,6 +147,15 @@ class TestAccuracy:
         assert abs(samples[2, 0, 0] - short[0]) < 1e-10
         assert abs(samples[2, 0, 1] - short[1]) < 1e-10
 
+    def test_empty_window_returns_the_initial_state(self, step_counts):
+        # t1 = t0: no step is taken and the phase is 0, so every point keeps init
+        init = np.array([(0.3 + 0.1j, 0.9), (1.0, 0.0)])
+        finals = integrate_tdse_batch([P_FULL, P_HERM], init, 1.0, 1.0, TIGHT)
+        assert np.array_equal(finals, init)
+        samples = integrate_tdse_batch([P_FULL, P_HERM], init, 1.0, 1.0, TIGHT, t_eval=[1.0])
+        assert samples.shape == (1, 2, 2) and np.array_equal(samples[0], init)
+        assert step_counts == [(0, 0), (0, 0)]
+
     def test_sample_outside_window_rejected(self):
         with pytest.raises(DomainError):
             integrate_tdse_batch([P_FULL], (0.0, 1.0), P_FULL.t0, P_FULL.t1, TIGHT, t_eval=[99.0])
@@ -372,6 +381,13 @@ class TestTransformedEquation:
         p = ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.7, Delta=0.3, t0=0.0, t1=7.0)
         dev = transformed_ode_check(p, x_of_t(p, 0.0), x_of_t(p, 0.4), cfg=TIGHT)
         assert dev < 1e-7
+
+    def test_zero_coupling(self):
+        # c = 0: x psi' stays 0 and the upper amplitude with it, so the check
+        # compares the lower amplitude's phase alone
+        p = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.0, Delta=0.0, t0=-5.0, t1=3.0)
+        dev = transformed_ode_check(p, x_of_t(p, -3.0), x_of_t(p, 1.0), cfg=TIGHT)
+        assert dev < 1e-12
 
     def test_nonpositive_x_rejected(self):
         with pytest.raises(DomainError):

@@ -21,7 +21,7 @@ from exptwolevel.sweep import SweepConfig, run_sweep
 
 class TestClosedForm:
     def test_zero_time(self):
-        assert rabi_survival_closed_form(RabiParams(0.7, 0.3, 0.0)).value == 0.0
+        assert rabi_survival_closed_form(RabiParams(0.7, 0.3, 0.0)) == 0.0
 
     def test_delta_zero_reduction(self):
         # reduces to (1/2) sin^2(eps t / sqrt(2)), real
@@ -30,23 +30,21 @@ class TestClosedForm:
         for t in np.linspace(0.0, 3.0 * period, 97):
             got = rabi_survival_closed_form(RabiParams(eps, 0.0, float(t)))
             expect = 0.5 * math.sin(eps * float(t) / math.sqrt(2.0)) ** 2
-            assert abs(got.value.imag) < 1e-12
-            assert abs(got.value.real - expect) < 1e-10
-            assert -1e-12 <= got.real_part <= 0.5 + 1e-12
+            assert abs(got.imag) < 1e-12
+            assert abs(got.real - expect) < 1e-10
+            assert -1e-12 <= got.real <= 0.5 + 1e-12
 
     def test_delta_zero_periodicity(self):
         eps = 1.3
         period = math.sqrt(2.0) * math.pi / eps
         for t in (0.4, 1.1, 2.9):
-            a = rabi_survival_closed_form(RabiParams(eps, 0.0, t)).value
-            b = rabi_survival_closed_form(RabiParams(eps, 0.0, t + period)).value
+            a = rabi_survival_closed_form(RabiParams(eps, 0.0, t))
+            b = rabi_survival_closed_form(RabiParams(eps, 0.0, t + period))
             assert abs(a - b) < 1e-10
 
     def test_complex_for_nonzero_delta(self):
         got = rabi_survival_closed_form(RabiParams(0.5, 0.2, 3.0))
-        assert abs(got.value.imag) > 1e-6
-        assert got.modulus == abs(got.value)
-        assert got.real_part == got.value.real
+        assert abs(got.imag) > 1e-6
 
     def test_degenerate_frequency_rejected(self):
         with pytest.raises(DegeneracyError):
@@ -60,7 +58,7 @@ class TestClosedForm:
             eps, D = rng.uniform(-3.0, 3.0, size=2)
             t = rng.uniform(0.0, 10.0)
             r = RabiParams(float(eps), float(D), float(t))
-            got = rabi_survival_closed_form(r).modulus
+            got = abs(rabi_survival_closed_form(r))
             want = rabi_survival_oracle(r).p12_mod2
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -103,7 +101,7 @@ class TestOracle:
         t = math.pi / (eps * math.sqrt(2.0))  # deepest point
         cf = rabi_survival_closed_form(RabiParams(eps, 0.0, float(t)))
         orc = rabi_survival_oracle(RabiParams(eps, 0.0, float(t)))
-        assert cf.real_part == pytest.approx(0.5, abs=1e-10)
+        assert cf.real == pytest.approx(0.5, abs=1e-10)
         assert orc.p12_mod2 == pytest.approx(0.5, abs=1e-10)
 
     def test_discrepancy_continuous_in_delta(self):
@@ -112,7 +110,7 @@ class TestOracle:
         for D in np.linspace(-0.3, 0.3, 25):
             cf = rabi_survival_closed_form(RabiParams(0.7, float(D), t))
             orc = rabi_survival_oracle(RabiParams(0.7, float(D), t))
-            gaps.append(cf.modulus - orc.p22_mod2)
+            gaps.append(abs(cf) - orc.p22_mod2)
         jumps = np.abs(np.diff(gaps))
         assert np.max(jumps) < 0.05
 

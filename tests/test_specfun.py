@@ -115,6 +115,13 @@ class TestIdentities:
             assert abs(lhs.real - rhs.real) < 1e-12
             assert min(diff, 2 * math.pi - diff) < 1e-12
 
+    def test_mu_zero_terminates(self):
+        # U(0, gamma, z) = 1 and M(0, gamma, z) = 1, so both derivatives vanish
+        for g, z in [(1.3, 2.0), (0.4 - 0.7j, 40.0 + 3.0j)]:
+            assert tricomi_u(0.0, g, z) == 1.0
+            assert kummer_m_derivative(0.0, g, z) == 0.0
+            assert tricomi_u_derivative(0.0, g, z) == 0.0
+
     def test_kummer_reflection(self):
         # M(a, b, z) = e^z M(b - a, b, -z)
         mu, g = 0.4 + 0.3j, 1.3 - 0.2j
@@ -198,6 +205,32 @@ class TestDomain:
                 16.483657564690976 - 5.313257864431741j,
             )
         assert info.value.residual > specfun.ACCURACY_TARGET
+
+    @pytest.mark.parametrize("z, error", [(40.0, OverflowError), (60.0, AccuracyError)],
+                             ids=["retry-band", "beyond-retry-band"])
+    def test_nan_estimate_fails_the_target(self, z, error):
+        # the Poincare sum overflows to a NaN estimate: inside the retry band the
+        # connection is retried (and overflows), beyond it the NaN is an
+        # AccuracyError, not a returned nan
+        with pytest.raises(error):
+            tricomi_u(1e200, 1.5, z)
+
+    def test_nan_estimate_keeps_the_retry(self):
+        # the gate itself, with stub routes: at |z| = 40 the asymptotic route runs
+        # first, and its NaN estimate gives way to the series retry's value
+        def overflowed(*w):
+            return complex(math.nan, math.nan), math.nan
+
+        def exact(*w):
+            return 2.0 + 0.0j, 0.0
+
+        assert specfun._route("U", exact, overflowed, 1.0, 1.5, 40.0) == 2.0
+
+    def test_taylor_nonconvergence_reports_finite_residual(self):
+        # the terms outgrow the float range; the ratio is formed in decimal
+        with pytest.raises(AccuracyError, match="did not converge") as info:
+            kummer_m(1e300, 1.5, 0.5)
+        assert math.isfinite(info.value.residual)
 
     def test_switching_config_frozen(self):
         assert specfun.TAYLOR_RADIUS == 35.0

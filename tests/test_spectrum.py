@@ -82,8 +82,8 @@ class TestClosedForm:
 class TestDecomposition:
     def test_polar_consistency(self):
         d = energy_decomposition(P, 1.2)
-        assert d.re_plus == pytest.approx(0.5 * d.z_mag * math.cos(d.phi), rel=1e-12)
-        assert d.im_plus == pytest.approx(0.5 * d.z_mag * math.sin(d.phi), rel=1e-12)
+        assert d.e_plus.real == pytest.approx(0.5 * d.z_mag * math.cos(d.phi), rel=1e-12)
+        assert d.e_plus.imag == pytest.approx(0.5 * d.z_mag * math.sin(d.phi), rel=1e-12)
         assert d.z_mag == pytest.approx(2.0 * abs(d.e_plus), rel=1e-12)
 
     def test_conjugation_symmetry(self):
@@ -97,7 +97,7 @@ class TestDecomposition:
     def test_real_when_hermitian(self):
         q = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.0, t0=0.0, t1=2.0)
         d = energy_decomposition(q, 1.0)
-        assert d.im_plus == 0.0
+        assert d.e_plus.imag == 0.0
         assert d.phi == 0.0
 
     def test_angle_well_defined_at_branch(self):
@@ -115,8 +115,8 @@ def spectrum_rows(axis1, axis2) -> list:
 
 
 def decomposition_values(d) -> dict:
-    return {"re_e_plus": d.re_plus, "im_e_plus": d.im_plus, "re_e_minus": d.re_minus,
-            "im_e_minus": d.im_minus, "phi": d.phi, "z_mag": d.z_mag}
+    return {"re_e_plus": d.e_plus.real, "im_e_plus": d.e_plus.imag, "re_e_minus": d.e_minus.real,
+            "im_e_minus": d.e_minus.imag, "phi": d.phi, "z_mag": d.z_mag}
 
 
 class TestMap:
@@ -151,7 +151,7 @@ class TestMap:
             for D in np.linspace(-3.0, 3.0, 121):
                 q = ModelParams(1.0, -15.0, 0.0, eps, float(D), 0.0, 7.0)
                 d = energy_decomposition(q, 7.0)
-                out.append(math.copysign(1.0, d.re_plus**2 - d.im_plus**2))
+                out.append(math.copysign(1.0, d.e_plus.real**2 - d.e_plus.imag**2))
             return out
 
         assert len(set(signs(2.0))) == 2  # mixed zones for eps <= 2

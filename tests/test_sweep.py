@@ -100,8 +100,8 @@ class TestDelegation:
             rec = dict(zip(ds.columns, row))
             q = ModelParams(2.0, 1.0, 0.0, rec["epsilon"], rec["Delta"], 0.0, 5.0)
             d = energy_decomposition(q, 5.0)
-            assert rec["re_e_plus"] == d.re_plus
-            assert rec["im_e_plus"] == d.im_plus
+            assert rec["re_e_plus"] == d.e_plus.real
+            assert rec["im_e_plus"] == d.e_plus.imag
 
     def test_oracle_deviation_small(self):
         cfg = small_cfg(oracle=True)
@@ -164,8 +164,8 @@ class TestDelegation:
             d = energy_decomposition(BASE, rec["t"])
             assert rec["error"] == 0
             assert [rec["re_e_plus"], rec["im_e_plus"], rec["re_e_minus"], rec["im_e_minus"],
-                    rec["phi"], rec["z_mag"]] == [d.re_plus, d.im_plus, d.re_minus,
-                                                  d.im_minus, d.phi, d.z_mag]
+                    rec["phi"], rec["z_mag"]] == [d.e_plus.real, d.e_plus.imag, d.e_minus.real,
+                                                  d.e_minus.imag, d.phi, d.z_mag]
         for quantity in ("populations", "amplitudes"):
             ds = run_sweep(small_cfg(quantity=quantity, axes=axes))
             assert [r[-1] for r in ds.rows] == [1, 1, 0]
