@@ -149,8 +149,11 @@ def derived_params(p: ModelParams) -> DerivedParams:
 
 
 def omega_integral(p: ModelParams, ta: float, tb: float) -> float:
-    """Integral of the detuning over [ta, tb] (the accumulated gauge phase
-    is exp(-i * omega_integral))."""
+    """Integral of the detuning over [ta, tb]; its gauge phase
+    exp(-i * omega_integral) would be NaN were it to overflow, so that raises."""
     ea = math.exp(_checked_exponent(p, ta))
     eb = math.exp(_checked_exponent(p, tb))
-    return 0.5 * p.A / p.alpha * (eb - ea) + 0.5 * p.epsilon * (tb - ta)
+    w = 0.5 * p.A / p.alpha * (eb - ea) + 0.5 * p.epsilon * (tb - ta)
+    if not math.isfinite(w):
+        raise ExponentOverflowError(complex(0.0, w))
+    return w

@@ -76,9 +76,7 @@ def ln_gamma_complex(z) -> complex:
 
 
 def _rgamma(z) -> complex:
-    """1/Gamma(z), with the poles mapped to exact zero."""
-    if _nonpositive_int(z):
-        return 0.0 + 0.0j
+    """1/Gamma(z) off the poles; each caller skips its term at a pole."""
     return cmath.exp(-ln_gamma_complex(z))
 
 
@@ -260,7 +258,7 @@ def _tricomi_u(mu, gamma, z, m=None):
 
 def kummer_m_derivative(mu, gamma, z) -> complex:
     """dM/dz via the contiguous identity (mu/gamma) M(mu+1, gamma+1, z)."""
-    mu, gamma = complex(mu), complex(gamma)
+    mu, gamma, z = _finite(mu, gamma, z)
     if mu == 0:
         return 0.0 + 0.0j
     return (mu / gamma) * kummer_m(mu + 1.0, gamma + 1.0, z)
@@ -268,7 +266,7 @@ def kummer_m_derivative(mu, gamma, z) -> complex:
 
 def tricomi_u_derivative(mu, gamma, z) -> complex:
     """dU/dz via the contiguous identity -mu U(mu+1, gamma+1, z)."""
-    mu, gamma = complex(mu), complex(gamma)
+    mu, gamma, z = _finite(mu, gamma, z)
     if mu == 0:
         return 0.0 + 0.0j
     return -mu * tricomi_u(mu + 1.0, gamma + 1.0, z)

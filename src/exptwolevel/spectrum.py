@@ -1,29 +1,29 @@
-"""Complex instantaneous eigenenergies of the non-Hermitian two-level model.
+"""Complex instantaneous eigenvalues of the non-Hermitian two-level model.
 
 The direct route diagonalizes H(t) exactly: E = +/- sqrt(Omega^2 + delta^2)
-with Omega the half detuning and delta the half coupling.  The closed-form
-route expresses the same spectrum through a complex mixing angle built from
-the bare sweep 2*Omega and the bare coupling (epsilon + i*Delta); the two
-routes differ by a constant convention factor that is independent of time,
-which downstream tests pin numerically.
+with Omega the half detuning and delta the half coupling, formed once as
+E = sqrt(Z)/2 with Z = (2 Omega)^2 + epsilon^2 - Delta^2 + 2 i epsilon Delta.
+The closed-form route expresses the same spectrum through a complex mixing
+angle built from the bare sweep 2*Omega and the bare coupling
+(epsilon + i*Delta); the two routes differ by a constant convention factor
+that is independent of time, which downstream tests pin numerically.
 
-The real/imaginary decomposition writes 2E = |Z|^(1/2) exp(i*phi) with
-Z = (2 Omega)^2 + epsilon^2 - Delta^2 + 2 i epsilon Delta and
-phi = arg(Z)/2 computed with the two-argument arctangent, so the split
-stays well-defined when the real part of Z crosses zero.  Its record holds
-E+, E-, phi and |Z|^(1/2), and a `spectrum` sweep row reads the real and
-imaginary parts of E+ and E-; the 2-D energy maps of the paper are such
-sweeps (see `sweep`).
+The real/imaginary decomposition reads the polar form 2E = |Z|^(1/2) exp(i*phi)
+off that one root, phi = arg(Z)/2 = arg(E).  Z's real and imaginary parts
+are formed apart, so a zero imaginary part keeps its sign and the root sits
+on its side of the cut: Delta -> -Delta conjugates E, also at epsilon = 0.
+Its record holds E+, E-, phi and |Z|^(1/2), and a `spectrum` sweep row reads
+the real and imaginary parts of E+ and E-; the 2-D energy maps of the paper
+are such sweeps (see `sweep`).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import ModelParams, coupling, detuning
+from .model import ModelParams, detuning
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,11 @@ class EnergyDecomposition:
 
 
 def eigenvalues_direct(p: ModelParams, t: float) -> tuple[complex, complex]:
-    """Exact eigenvalues +/- sqrt(Omega^2 + delta^2) of H(t)."""
-    om = detuning(p, t)
-    dl = coupling(p)
-    r = cmath.sqrt(om * om + dl * dl)
+    """Exact eigenvalues +/- sqrt(Omega^2 + delta^2) = +/- sqrt(Z)/2 of H(t)."""
+    om_bar = 2.0 * detuning(p, t)
+    z = complex(om_bar * om_bar + (p.epsilon * p.epsilon - p.Delta * p.Delta),
+                2.0 * p.epsilon * p.Delta)
+    r = 0.5 * cmath.sqrt(z)
     return r, -r
 
 
@@ -60,12 +61,7 @@ def eigenvalues_closed_form(p: ModelParams, t: float) -> tuple[complex, complex]
 
 
 def energy_decomposition(p: ModelParams, t: float) -> EnergyDecomposition:
-    """Real/imaginary split of the exact eigenvalues via the arg(Z)/2 angle."""
+    """The exact eigenvalues with the polar form 2E+ = |Z|^(1/2) exp(i*phi)."""
     e_plus, e_minus = eigenvalues_direct(p, t)
-    om_bar = 2.0 * detuning(p, t)
-    re_z = om_bar * om_bar + p.epsilon * p.epsilon - p.Delta * p.Delta
-    im_z = 2.0 * p.epsilon * p.Delta
-    phi = 0.5 * math.atan2(im_z, re_z)
-    z_mag = math.hypot(re_z, im_z) ** 0.5
-    return EnergyDecomposition(e_plus=e_plus, e_minus=e_minus, phi=phi, z_mag=z_mag)
-
+    return EnergyDecomposition(e_plus=e_plus, e_minus=e_minus,
+                               phi=cmath.phase(e_plus), z_mag=2.0 * abs(e_plus))

@@ -57,8 +57,8 @@ FIGURE_ROW_DIGESTS = {
     2: "e421d039f972f641ec1b64b4a28bc2576d0d943193d155b650cabbfe389e5797",
     3: "acd873d40ade0ab3d158139b53aa4d4325d78f7c3431fd3342539ac35aba9581",
     4: "c6214bb9f1accce13c56c7ed49cdb2397f5817d20017d7e572c4605d92653102",
-    5: "bc084c8c52df10d80e2868395df92e48fbdee2e478deee1cdbc7c5918a5e6f20",
-    6: "47ed6c316a6e0ffa615349871d5db26158044f0592cf4797df6d39288528571a",
+    5: "b7d7030538ca6cd5f01910400c1e894029034a77c6c199e2b4e4d75fac22ecdb",
+    6: "b7e26590ce0e8ac993968ce0fe54c994cb6627ac9e77bc1192ef818770140e4d",
     7: "c972e955833d7f1099560e3239ac763bfdfa2e5519c69e9ec7e9bf66fc10e2af",
 }
 

@@ -3,6 +3,7 @@ independence, unitarity in the Hermitian sub-case, and oracle agreement."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from exptwolevel.analytic import (
     propagator,
     transition_parameter_omega12,
 )
-from exptwolevel.errors import AccuracyError, DegeneracyError, DomainError, ExponentOverflowError
+from exptwolevel.errors import (
+    AccuracyError,
+    DegeneracyError,
+    DomainError,
+    ExponentOverflowError,
+    PoleError,
+)
 from exptwolevel.model import DerivedParams, ModelParams, derived_params, x_of_t
 from exptwolevel.specfun import tricomi_u
 from exptwolevel.oracle import IntegratorConfig, integrate_tdse_batch
@@ -74,6 +81,11 @@ class TestBasis:
             basis_solutions(derived_params(q), 1.0)
         with pytest.raises(DomainError):
             transition_parameter_omega12(derived_params(q), 1.0)
+
+    def test_integer_mu_rejected(self):
+        # Gamma(mu) in the determinant formula has a pole at mu = -1
+        with pytest.raises(PoleError):
+            transition_parameter_omega12(replace(derived_params(P), mu1=-1.0), 1.0)
 
 
 class TestPropagatorAlgebra:

@@ -27,7 +27,14 @@ from exptwolevel.model import (
     x_of_t,
 )
 from exptwolevel.rabi import RabiParams, rabi_limit_convergence, rabi_survival_closed_form
-from exptwolevel.specfun import kummer_m, ln_gamma_complex, tricomi_u, wronskian_residual
+from exptwolevel.specfun import (
+    kummer_m,
+    kummer_m_derivative,
+    ln_gamma_complex,
+    tricomi_u,
+    tricomi_u_derivative,
+    wronskian_residual,
+)
 from exptwolevel.spectrum import energy_decomposition
 
 
@@ -60,6 +67,10 @@ class TestParams:
         q = ModelParams.from_json_dict(P.to_json_dict())
         assert q == P
 
+    def test_axis_needs_a_sample(self):
+        with pytest.raises(DomainError):
+            AxisSpec("t", 0.0, 1.0, 0)
+
     @pytest.mark.parametrize("start, stop", [(math.nan, 1.0), (0.0, math.inf),
                                              (-math.inf, 0.0), (-1e308, 1e308)],
                              ids=["nan", "inf", "-inf", "span-overflow"])
@@ -86,12 +97,14 @@ DECOUPLED = replace(P, epsilon=0.0, Delta=0.0)
      lambda: tricomi_u(0.5, 1.5, math.nan), lambda: tricomi_u(0.5, 1.5, math.inf),
      lambda: wronskian_residual(0.5, 1.5, math.nan),
      lambda: basis_solutions(derived_params(P), math.nan),
-     lambda: transition_parameter_omega12(derived_params(P), math.nan)],
+     lambda: transition_parameter_omega12(derived_params(P), math.nan),
+     lambda: kummer_m_derivative(0, 1.3, math.nan),
+     lambda: tricomi_u_derivative(0, 1.3, math.inf)],
     ids=["propagator-t", "propagator-t0", "propagator-decoupled", "populations",
          "energy_decomposition", "x_of_t", "detuning", "t_of_x", "rabi-closed-form",
          "rabi-params-inf", "rabi-limit-convergence", "kummer-mu", "kummer-gamma",
          "kummer-z", "ln-gamma", "tricomi-z", "tricomi-z-inf", "wronskian-z",
-         "basis-x", "omega12-x"],
+         "basis-x", "omega12-x", "kummer-derivative-mu-zero", "tricomi-derivative-mu-zero"],
 )
 def test_non_finite_input_raises(call):
     # a NaN time or parameter raises instead of returning NaN

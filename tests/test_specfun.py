@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from exptwolevel import specfun
-from exptwolevel.errors import AccuracyError, DomainError, PoleError
+from exptwolevel.errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 from exptwolevel.specfun import (
     kummer_m,
     kummer_m_derivative,
@@ -193,6 +193,15 @@ class TestDomain:
     def test_m_gamma_pole_rejected(self):
         with pytest.raises(PoleError):
             kummer_m(0.5, -1.0, 1.0)
+
+    def test_ln_gamma_pole_rejected(self):
+        with pytest.raises(PoleError):
+            ln_gamma_complex(-2.0)
+
+    def test_exponent_overflow_raises(self):
+        # the asymptotic route's e^z term is past the exponent limit at z = 800
+        with pytest.raises(ExponentOverflowError):
+            kummer_m(0.5, 1.5, 800.0)
 
     def test_tricomi_missing_target_raises(self):
         # both routes miss ACCURACY_TARGET here (true value

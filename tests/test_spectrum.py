@@ -3,6 +3,7 @@ the real/imaginary split, and grid maps as spectrum sweeps."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,12 +88,14 @@ class TestDecomposition:
         assert d.z_mag == pytest.approx(2.0 * abs(d.e_plus), rel=1e-12)
 
     def test_conjugation_symmetry(self):
-        # Delta -> -Delta conjugates the spectrum
-        q = ModelParams(A=2.0, alpha=1.0, beta=0.5, epsilon=0.5, Delta=-0.5, t0=-5.0, t1=5.0)
-        d1 = energy_decomposition(P, 0.8)
-        d2 = energy_decomposition(q, 0.8)
-        assert abs(d1.e_plus - d2.e_plus.conjugate()) < 1e-12
-        assert d1.phi == pytest.approx(-d2.phi, abs=1e-12)
+        # Delta -> -Delta conjugates the spectrum, also on the epsilon = 0
+        # edge of the forbidden zone, where Im Z is a signed zero
+        for p in (P, ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.0, Delta=0.5,
+                                 t0=0.0, t1=7.0)):
+            d1 = energy_decomposition(p, 0.8)
+            d2 = energy_decomposition(replace(p, Delta=-p.Delta), 0.8)
+            assert abs(d1.e_plus - d2.e_plus.conjugate()) < 1e-12
+            assert d1.phi == pytest.approx(-d2.phi, abs=1e-12)
 
     def test_real_when_hermitian(self):
         q = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.0, t0=0.0, t1=2.0)
@@ -101,7 +104,7 @@ class TestDecomposition:
         assert d.phi == 0.0
 
     def test_angle_well_defined_at_branch(self):
-        # Re(Z) = 0: two-argument arctangent must still give +/- pi/4
+        # Re(Z) = 0: the angle must still be +/- pi/4
         q = ModelParams(A=0.0, alpha=1.0, beta=0.0, epsilon=1.0, Delta=math.sqrt(2.0),
                         t0=-1.0, t1=1.0)
         d = energy_decomposition(q, 0.0)
@@ -135,6 +138,16 @@ class TestMap:
             energy_decomposition(ModelParams(2.0, 1.0, 0.5, 0.5, 0.0, -5.0, 5.0), 0.0)
         )
         assert {k: grid[0][k] for k in expect} == expect
+
+    def test_polar_form_on_every_row_at_epsilon_zero(self):
+        # 2 E+ = |Z|^(1/2) exp(i phi) on each row, the forbidden zone included
+        base = ModelParams(A=1.0, alpha=-15.0, beta=0.0, epsilon=0.0, Delta=0.0, t0=0.0, t1=7.0)
+        ds = run_sweep(SweepConfig(base, (AxisSpec("Delta", -3.0, 3.0, 121),), "spectrum"))
+        for row in ds.rows:
+            r = dict(zip(ds.columns, row))
+            assert r["error"] == 0
+            e_plus = complex(r["re_e_plus"], r["im_e_plus"])
+            assert abs(2.0 * e_plus - r["z_mag"] * cmath.exp(1j * r["phi"])) < 1e-12
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Sweep engine and serialization: delegation, determinism, thread safety,
 error flagging, formats, and the CLI."""
 
+import io
 import json
 import math
 import sys
@@ -14,7 +15,13 @@ import exptwolevel.analytic as analytic
 import exptwolevel.cli as cli
 from exptwolevel.analytic import AmplitudePair, populations
 from exptwolevel.cli import main as cli_main
-from exptwolevel.errors import AccuracyError, ConfigError, DegeneracyError, DomainError
+from exptwolevel.errors import (
+    AccuracyError,
+    ConfigError,
+    DegeneracyError,
+    DomainError,
+    ExponentOverflowError,
+)
 from exptwolevel.model import AxisSpec, ModelParams
 from exptwolevel.spectrum import energy_decomposition
 import exptwolevel.sweep as sweep
@@ -71,6 +78,18 @@ class TestConfig:
                 quantity="interferogram",
                 axes=(AxisSpec("epsilon", 0, 1, 2), AxisSpec("t", 0, 1, 2)),
             )
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: small_cfg(axes=(AxisSpec("t", 1.0, 2.0, 2), AxisSpec("Delta", 0.0, 1.0, 2),
+                                 AxisSpec("A", 1.0, 2.0, 2))),
+         lambda: emit(Dataset(columns=["a"], rows=[]), "xml", io.StringIO()),
+         lambda: sweep._figure_config(8)],
+        ids=["three-axes", "emit-format", "figure-number"],
+    )
+    def test_rejected_with_config_error(self, call):
+        with pytest.raises(ConfigError):
+            call()
 
     def test_json_round_trip(self):
         cfg = small_cfg(oracle=True)
@@ -188,6 +207,20 @@ class TestDelegation:
         # one t0 basis serves the whole t axis, and its failed check flags each row
         ds = run_sweep(small_cfg(base=BAD_START, axes=(AxisSpec("t", 0.25, 1.0, 4),)))
         assert [r[-1] for r in ds.rows] == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize(
+        "base, error, code",
+        # zero coupling: the detuning integral overflows and exp(i * inf) is NaN
+        [(ModelParams(1e300, 1e-3, 600.0, 0.0, 0.0, 0.0, 1.0), ExponentOverflowError, 3),
+         # b x0 ~ 1e-300 underflows the determinant's (b x0)^(1 - gamma) to zero
+         (ModelParams(1e-300, 1.0, 0.0, 0.0, 2.5, 0.0, 1.0), DegeneracyError, 2)],
+        ids=["gauge-phase-overflow", "vanishing-determinant"],
+    )
+    def test_propagator_error_flags_its_rows(self, base, error, code):
+        with pytest.raises(error):
+            analytic.propagator(base, 0.0, 1.0)
+        ds = run_sweep(small_cfg(base=base, axes=(AxisSpec("t", 0.5, 1.0, 2),)))
+        assert [r[-1] for r in ds.rows] == [code, code]
 
     def test_start_built_once_per_parameter_set(self, monkeypatch):
         # the points of a t axis share one propagator start, a raised one too
