@@ -2,17 +2,22 @@
 
 One route rule serves both functions (thresholds are the constants below):
 
-* ``|z| <= TAYLOR_RADIUS``: the series route.  M is the Taylor series summed
-  in TAYLOR_DIGITS-digit ``decimal`` arithmetic, which absorbs its ~e^{|z|}
-  cancellation (relative error ~e^{|z|} * 1e-40, below double rounding up
-  to |z| = 50); U is the two-M connection formula.
+* ``|z| <= TAYLOR_RADIUS``: the series route.  M is the Taylor series
+  (DLMF 13.2.2) summed in complex double, kept where its rounding bound
+  (k + 4) 2^-53 Sum|term_k| is within TAYLOR_DOUBLE_TARGET of |sum|, with
+  that bound as its estimate.  Where the bound fails (the ~e^{|z|}
+  cancellation of large |z|, or an overflow), the sum is redone in
+  TAYLOR_DIGITS-digit ``decimal`` arithmetic, estimate 0 (relative error
+  ~e^{|z|} * 1e-40, below double rounding up to |z| = 50).  U is the two-M
+  connection formula.
 * ``|z| > TAYLOR_RADIUS``: the asymptotic route, the large-|z| Poincare
   series truncated at the smallest term.
 * If the chosen route misses ACCURACY_TARGET (a NaN estimate misses it
   too) and RETRY_MIN <= |z| <= RETRY_RADIUS, the other route is tried and
-  the better estimate kept.  The Taylor sum has no estimate, so M retries
-  only above the radius.  A value that still misses the target raises
-  ``AccuracyError``.  A non-finite argument raises ``DomainError``.
+  the better estimate kept.  The Taylor sum's estimate never exceeds
+  TAYLOR_DOUBLE_TARGET, so M retries only above the radius.  A value that
+  still misses the target raises ``AccuracyError``.  A non-finite argument
+  raises ``DomainError``.
 
 Integer second parameter of U takes, inside the radius, the average at
 ``gamma +/- INTEGER_OFFSET``, which cancels the O(h) term of the degenerate
@@ -30,6 +35,7 @@ The Wronskian convention satisfied by this implementation is
 from __future__ import annotations
 
 import cmath
+import math
 from decimal import Context, Decimal, localcontext
 
 from scipy.special import loggamma as _loggamma
@@ -42,13 +48,14 @@ RETRY_MIN = 10.0
 RETRY_RADIUS = 50.0
 MAX_TAYLOR_TERMS = 700
 TAYLOR_DIGITS = 40
+TAYLOR_DOUBLE_TARGET = 1e-13
 MAX_ASYMPTOTIC_TERMS = 120
 INTEGER_OFFSET = 1e-7
 ACCURACY_TARGET = 1e-9
 
 _INT_TOL = 1e-12
 _TAYLOR_CONTEXT = Context(prec=TAYLOR_DIGITS)
-_TAYLOR_STOP = Decimal("1e-66")  # on |term|^2 / |sum|^2
+_TAYLOR_STOP = Decimal("1e-40")  # on |term|^2 / |sum|^2
 
 
 def _finite(*args) -> tuple:
@@ -90,8 +97,30 @@ def _safe_exp(z) -> complex:
 # Taylor / asymptotic kernels ------------------------------------------------
 
 
-def _kummer_taylor(a, b, z) -> complex:
-    """Sum_k (a)_k / (b)_k z^k / k! in TAYLOR_DIGITS-digit decimal arithmetic.
+def _kummer_taylor(a, b, z):
+    """Sum_k (a)_k / (b)_k z^k / k! (DLMF 13.2.2) and its relative error
+    estimate: the double sum under its rounding bound, else the decimal
+    kernel's with estimate 0 (the route rule above)."""
+    term = total = 1.0 + 0.0j
+    mass = 1.0  # Sum |term_k|
+    try:
+        for k in range(MAX_TAYLOR_TERMS):
+            term = term * z * (a + k) / ((b + k) * (k + 1))
+            total += term
+            mag = abs(term)
+            mass += mag
+            if mag == 0 or mag < 1e-17 * abs(total):
+                bound = (k + 4) * 2.0**-53 * mass
+                if bound <= TAYLOR_DOUBLE_TARGET * abs(total) < math.inf:  # NaN, inf fail
+                    return total, bound / abs(total)
+                break
+    except OverflowError:  # abs() of a finite term past the float range
+        pass
+    return _kummer_taylor_decimal(a, b, z), 0.0
+
+
+def _kummer_taylor_decimal(a, b, z) -> complex:
+    """`_kummer_taylor`'s series in TAYLOR_DIGITS-digit decimal arithmetic.
 
     Complex values are (real, imag) pairs of ``Decimal``; the float inputs
     convert exactly and the sum rounds to ``complex`` once, at the end.
@@ -172,7 +201,7 @@ def _kummer_asymptotic(a, b, z):
 
 def _tricomi_asymptotic_raw(a, b, z):
     s, err = _poincare_sum(a, a - b + 1.0, -1.0 / z, MAX_ASYMPTOTIC_TERMS)
-    return cmath.exp(-a * cmath.log(z)) * s, err
+    return _safe_exp(-a * cmath.log(z)) * s, err
 
 
 def _route(name, series, asymptotic, mu, gamma, z):
@@ -204,8 +233,7 @@ def kummer_m(mu, gamma, z) -> complex:
             f"M(mu, gamma, z) undefined: gamma = {gamma} is a non-positive integer",
             location=round(gamma.real),
         )
-    # the decimal Taylor sum carries no error estimate, so it never asks for a retry
-    return _route("M", lambda *w: (_kummer_taylor(*w), 0.0), _kummer_asymptotic, mu, gamma, z)
+    return _route("M", _kummer_taylor, _kummer_asymptotic, mu, gamma, z)
 
 
 def _tricomi_connection(mu, gamma, z, m=None):

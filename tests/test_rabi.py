@@ -1,14 +1,16 @@
 """Constant-Hamiltonian limit: closed-form survival, the independent
-matrix-exponential oracle, convergence of the exponential model, and the
-interferogram sweep."""
+matrix-exponential oracle, convergence of the exponential model, the
+interferogram sweep, and the short-time similarity of the model to Rabi's."""
 
 import math
 
 import numpy as np
 import pytest
 
+from exptwolevel.analytic import propagator
 from exptwolevel.errors import ConfigError, DegeneracyError, DomainError
-from exptwolevel.model import AxisSpec, ModelParams
+from exptwolevel.model import AxisSpec, ModelParams, coupling, detuning
+from exptwolevel.oracle import constant_h_propagator
 from exptwolevel.rabi import (
     RabiParams,
     rabi_limit_convergence,
@@ -16,7 +18,7 @@ from exptwolevel.rabi import (
     rabi_survival_oracle,
 )
 import exptwolevel.sweep as sweep
-from exptwolevel.sweep import SweepConfig, run_sweep
+from exptwolevel.sweep import FIGURES, SweepConfig, run_sweep
 
 
 class TestClosedForm:
@@ -193,3 +195,22 @@ class TestInterferogram:
         t = self.T_AXIS.values()[5]
         e = self.E_AXIS.values()[3]
         assert g["p_mod2_oracle"][5][3] == rabi_survival_oracle(RabiParams(e, 0.2, t)).p22_mod2
+
+
+@pytest.mark.parametrize("n", [3, 2], ids=["figure-3", "figure-2"])
+def test_short_time_rabi_similarity(n):
+    # the abstract: the first Nikitin model "exhibits similarities to the Rabi
+    # model in the short-time approximation".  U(t0 + tau, t0) departs from the
+    # frozen-Hamiltonian exp(-i H(t0) tau) at order tau^2, with the first Magnus
+    # coefficient |Omega'(t0)| / 2 (0.5 at the figure-3 base, 2.24 at figure 2's)
+    p = FIGURES[n][0]
+    omega, d = detuning(p, p.t0), coupling(p)
+    h0 = np.array([[omega, d], [d, -omega]])
+    slope = abs(p.alpha * p.A * math.exp(p.alpha * p.t0 + p.beta)) / 2.0  # Omega'(t0)
+    taus = [0.2 / 2**k for k in range(5)]
+    devs = [np.max(np.abs(propagator(p, p.t0, p.t0 + tau).as_array()
+                          - constant_h_propagator(h0, tau))) for tau in taus]
+    # each halving of tau divides the departure by ~4 ...
+    assert all(3.9 < a / b < 4.2 for a, b in zip(devs, devs[1:]))
+    # ... and its tau^2 coefficient tends to |Omega'(t0)| / 2
+    assert devs[-1] / taus[-1] ** 2 == pytest.approx(slope / 2.0, rel=0.01)

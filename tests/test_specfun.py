@@ -1,5 +1,6 @@
 """Confluent hypergeometric building blocks: frozen reference values,
-closed-form identities, and the Wronskian property grid."""
+closed-form identities, the Wronskian property grid, the Taylor sum's
+double and decimal routes, and M against mpmath where it is installed."""
 
 import cmath
 import decimal
@@ -10,6 +11,7 @@ import pytest
 
 from exptwolevel import specfun
 from exptwolevel.errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
+from exptwolevel.model import AxisSpec
 from exptwolevel.specfun import (
     kummer_m,
     kummer_m_derivative,
@@ -18,6 +20,7 @@ from exptwolevel.specfun import (
     tricomi_u_derivative,
     wronskian_residual,
 )
+from exptwolevel.sweep import SweepConfig, _figure_config, run_sweep
 
 
 def relerr(a, b):
@@ -185,6 +188,55 @@ class TestWronskian:
             wronskian_residual(-2.0, 1.3, 1.0 + 1.0j)
 
 
+def _box_arguments(n=300, seed=2024):
+    """Seeded (mu, gamma, z) over the model-typical box: Re mu in [-1, 1],
+    Im mu and Im gamma in [-2, 2], Re gamma in [0.2, 2], z = -iy, y in [0.1, 60]."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    g = rng.uniform(0.2, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    z = -1j * rng.uniform(0.1, 60.0, n)
+    return [(complex(a), complex(b), complex(c)) for a, b, c in zip(mu, g, z)]
+
+
+TSCAN = SweepConfig(
+    _figure_config(3).base, (AxisSpec("t", 0.2, 4.0, 20), AxisSpec("Delta", -1.5, 1.5, 7)),
+    "amplitudes",
+)
+
+
+class TestMpmathReference:
+    """M against mpmath's 1F1 at 50 digits: within 1e-12 on the series route
+    (|z| <= TAYLOR_RADIUS), within ACCURACY_TARGET beyond it, or a typed error."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        # None: the box; then the Taylor sums of sweeps: the t0 basis of each
+        # figure (its t1 basis is past the radius), and the bases of t-scan
+        # with |z| <= TAYLOR_RADIUS
+        [None, *(_figure_config(n, oracle=False) for n in (2, 3, 4)), TSCAN],
+        ids=["box", "figure-2", "figure-3", "figure-4", "t-scan"],
+    )
+    def test_kummer_m(self, cfg, taylor_sums):
+        mpmath = pytest.importorskip("mpmath")
+        if cfg is None:
+            points = _box_arguments()
+        else:
+            run_sweep(cfg)
+            points = taylor_sums[:]  # the checks below sum again
+        checked = 0
+        for mu, g, z in points:
+            try:
+                got = kummer_m(mu, g, z)
+            except (AccuracyError, DomainError, ExponentOverflowError):
+                continue
+            with mpmath.workdps(50):
+                ref = complex(mpmath.hyp1f1(mu, g, z))
+            limit = 1e-12 if abs(z) <= specfun.TAYLOR_RADIUS else specfun.ACCURACY_TARGET
+            assert relerr(got, ref) < limit, (mu, g, z)
+            checked += 1
+        assert checked >= 0.9 * len(points) > 0
+
+
 class TestDomain:
     def test_u_at_origin_rejected(self):
         with pytest.raises(DomainError):
@@ -235,11 +287,32 @@ class TestDomain:
 
         assert specfun._route("U", exact, overflowed, 1.0, 1.5, 40.0) == 2.0
 
-    def test_taylor_nonconvergence_reports_finite_residual(self):
-        # the terms outgrow the float range; the ratio is formed in decimal
+    def test_taylor_nonconvergence_reports_finite_residual(self, decimal_sums):
+        # the terms outgrow the float range: the double terms turn NaN, so the
+        # decimal kernel sums again and forms the ratio in decimal
         with pytest.raises(AccuracyError, match="did not converge") as info:
             kummer_m(1e300, 1.5, 0.5)
+        assert len(decimal_sums) == 1
         assert math.isfinite(info.value.residual)
+
+    def test_overflowing_term_modulus_falls_back(self, decimal_sums):
+        # abs() of the finite first term (1.5e308 + 1.5e308j) overflows
+        with pytest.raises(AccuracyError, match="did not converge"):
+            kummer_m(1.5e308, 1.0, 1 + 1j)
+        assert len(decimal_sums) == 1
+
+    @pytest.mark.parametrize(
+        "z, route",
+        # |z| = 2: the terms hardly cancel; z = -30: they cancel by ~e^30
+        [(2j, "double"), (-30.0, "decimal")],
+    )
+    def test_taylor_route_follows_the_rounding_bound(self, z, route, decimal_sums):
+        value, estimate = specfun._kummer_taylor(0.5 + 0j, 1.5 + 0j, complex(z))
+        if route == "double":
+            assert decimal_sums == [] and 0.0 < estimate <= specfun.TAYLOR_DOUBLE_TARGET
+        else:
+            assert len(decimal_sums) == 1 and estimate == 0.0
+        assert value == kummer_m(0.5, 1.5, z)
 
     def test_switching_config_frozen(self):
         assert specfun.TAYLOR_RADIUS == 35.0
@@ -247,6 +320,7 @@ class TestDomain:
         assert specfun.RETRY_RADIUS == 50.0
         assert specfun.MAX_TAYLOR_TERMS == 700
         assert specfun.TAYLOR_DIGITS == 40
+        assert specfun.TAYLOR_DOUBLE_TARGET == 1e-13
         assert specfun.MAX_ASYMPTOTIC_TERMS == 120
         assert specfun.INTEGER_OFFSET == 1e-7
         assert specfun.ACCURACY_TARGET == 1e-9

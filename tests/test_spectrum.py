@@ -1,5 +1,6 @@
 """Complex eigenvalue spectrum: characteristic polynomial, the two routes,
-the real/imaginary split, and grid maps as spectrum sweeps."""
+the real/imaginary split, grid maps as spectrum sweeps, and figure 5's
+allowed and forbidden zones."""
 
 import cmath
 import math
@@ -15,7 +16,7 @@ from exptwolevel.spectrum import (
     eigenvalues_direct,
     energy_decomposition,
 )
-from exptwolevel.sweep import SweepConfig, run_sweep
+from exptwolevel.sweep import FIGURES, SweepConfig, _figure_config, run_sweep
 
 P = ModelParams(A=2.0, alpha=1.0, beta=0.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=5.0)
 
@@ -169,3 +170,19 @@ class TestMap:
 
         assert len(set(signs(2.0))) == 2  # mixed zones for eps <= 2
         assert len(set(signs(3.0))) == 1  # single zone for large eps
+
+
+def test_allowed_and_forbidden_zones_of_figure_5():
+    # the paper's allowed and forbidden zones (figure 5): Re E = 0 exactly where
+    # Z = (2 Omega)^2 + eps^2 - Delta^2 + 2i eps Delta is real and negative,
+    # that is eps = 0 and Delta^2 > (2 Omega)^2
+    ds = run_sweep(_figure_config(5))
+    forbidden = 0
+    for row in ds.rows:
+        r = dict(zip(ds.columns, row))
+        q = replace(FIGURES[5][0], epsilon=r["epsilon"], Delta=r["Delta"])
+        two_omega = 2.0 * detuning(q, q.t1)
+        zone = r["epsilon"] == 0 and r["Delta"] ** 2 > two_omega**2
+        assert (r["re_e_plus"] == 0 and r["re_e_minus"] == 0) == zone, r
+        forbidden += zone
+    assert len(ds.rows) == 121 * 81 and forbidden == 120

@@ -222,6 +222,20 @@ class TestDelegation:
         ds = run_sweep(small_cfg(base=base, axes=(AxisSpec("t", 0.5, 1.0, 2),)))
         assert [r[-1] for r in ds.rows] == [code, code]
 
+    @pytest.mark.parametrize(
+        "base",
+        # U's asymptotic prefactor (b x)^-mu at |b x| ~ 1e303, and the
+        # (epsilon / alpha)^2 of derived_params: both name their exponent
+        [ModelParams(1e300, 1e-3, 0.0, 0.1, 0.2, 0.0, 20000.0),
+         ModelParams(1.0, 1.0, 0.0, 1e308, 0.0, 0.0, 10.0)],
+        ids=["tricomi-prefactor", "squared-coupling-ratio"],
+    )
+    def test_overflow_is_typed(self, base):
+        with pytest.raises(ExponentOverflowError):
+            analytic.propagator(base, base.t0, base.t1)
+        ds = run_sweep(small_cfg(base=base, axes=(AxisSpec("t", base.t1, base.t1, 1),)))
+        assert [r[-1] for r in ds.rows] == [3]
+
     def test_start_built_once_per_parameter_set(self, monkeypatch):
         # the points of a t axis share one propagator start, a raised one too
         built = []
