@@ -141,10 +141,9 @@ def derived_params(p: ModelParams) -> DerivedParams:
     a = 1.0 + 1j * p.epsilon / p.alpha
     b = -1j * p.A / p.alpha
     c = complex(p.epsilon, p.Delta) / (2.0 * p.alpha)
-    try:
-        root = cmath.sqrt((1.0 - a) ** 2 - 4.0 * c * c)
-    except OverflowError:  # (epsilon / alpha)^2 is past the float range
-        raise ExponentOverflowError(2.0 * cmath.log(1.0 - a)) from None
+    root = cmath.sqrt((1.0 - a) * (1.0 - a) - 4.0 * c * c)
+    if not cmath.isfinite(root):  # (epsilon / alpha)^2 or (Delta / alpha)^2 overflowed
+        raise ExponentOverflowError(2.0 * cmath.log(2.0 * c))
     mu1 = 0.5 * ((1.0 - a) - root)
     mu2 = 0.5 * ((1.0 - a) + root)
     gamma = 2.0 * mu1 + a

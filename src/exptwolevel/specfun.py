@@ -3,21 +3,20 @@
 One route rule serves both functions (thresholds are the constants below):
 
 * ``|z| <= TAYLOR_RADIUS``: the series route.  M is the Taylor series
-  (DLMF 13.2.2) summed in complex double, kept where its rounding bound
-  (k + 4) 2^-53 Sum|term_k| is within TAYLOR_DOUBLE_TARGET of |sum|, with
-  that bound as its estimate.  Where the bound fails (the ~e^{|z|}
-  cancellation of large |z|, or an overflow), the sum is redone in
-  TAYLOR_DIGITS-digit ``decimal`` arithmetic, estimate 0 (relative error
-  ~e^{|z|} * 1e-40, below double rounding up to |z| = 50).  U is the two-M
-  connection formula.
+  (DLMF 13.2.2) summed in complex fixed point on Python ints with
+  TAYLOR_BITS fraction bits and rounded to ``complex`` once, estimate 0:
+  its relative error is ~e^{|z|} 2^-TAYLOR_BITS, so it absorbs the
+  ~e^{|z|} cancellation of large |z| and stays below double rounding up
+  to |z| ~ 74, past RETRY_RADIUS.  A series whose terms leave the float
+  range or outlast MAX_TAYLOR_TERMS raises ``AccuracyError``.  U is the
+  two-M connection formula.
 * ``|z| > TAYLOR_RADIUS``: the asymptotic route, the large-|z| Poincare
   series truncated at the smallest term.
 * If the chosen route misses ACCURACY_TARGET (a NaN estimate misses it
   too) and RETRY_MIN <= |z| <= RETRY_RADIUS, the other route is tried and
-  the better estimate kept.  The Taylor sum's estimate never exceeds
-  TAYLOR_DOUBLE_TARGET, so M retries only above the radius.  A value that
-  still misses the target raises ``AccuracyError``.  A non-finite argument
-  raises ``DomainError``.
+  the better estimate kept.  The Taylor sum's estimate is 0, so M retries
+  only above the radius.  A value that still misses the target raises
+  ``AccuracyError``.  A non-finite argument raises ``DomainError``.
 
 Integer second parameter of U takes, inside the radius, the average at
 ``gamma +/- INTEGER_OFFSET``, which cancels the O(h) term of the degenerate
@@ -35,8 +34,7 @@ The Wronskian convention satisfied by this implementation is
 from __future__ import annotations
 
 import cmath
-import math
-from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 from scipy.special import loggamma as _loggamma
 
@@ -47,15 +45,12 @@ TAYLOR_RADIUS = 35.0
 RETRY_MIN = 10.0
 RETRY_RADIUS = 50.0
 MAX_TAYLOR_TERMS = 700
-TAYLOR_DIGITS = 40
-TAYLOR_DOUBLE_TARGET = 1e-13
+TAYLOR_BITS = 160
 MAX_ASYMPTOTIC_TERMS = 120
 INTEGER_OFFSET = 1e-7
 ACCURACY_TARGET = 1e-9
 
 _INT_TOL = 1e-12
-_TAYLOR_CONTEXT = Context(prec=TAYLOR_DIGITS)
-_TAYLOR_STOP = Decimal("1e-40")  # on |term|^2 / |sum|^2
 
 
 def _finite(*args) -> tuple:
@@ -98,61 +93,42 @@ def _safe_exp(z) -> complex:
 
 
 def _kummer_taylor(a, b, z):
-    """Sum_k (a)_k / (b)_k z^k / k! (DLMF 13.2.2) and its relative error
-    estimate: the double sum under its rounding bound, else the decimal
-    kernel's with estimate 0 (the route rule above)."""
-    term = total = 1.0 + 0.0j
-    mass = 1.0  # Sum |term_k|
-    try:
-        for k in range(MAX_TAYLOR_TERMS):
-            term = term * z * (a + k) / ((b + k) * (k + 1))
-            total += term
-            mag = abs(term)
-            mass += mag
-            if mag == 0 or mag < 1e-17 * abs(total):
-                bound = (k + 4) * 2.0**-53 * mass
-                if bound <= TAYLOR_DOUBLE_TARGET * abs(total) < math.inf:  # NaN, inf fail
-                    return total, bound / abs(total)
-                break
-    except OverflowError:  # abs() of a finite term past the float range
-        pass
-    return _kummer_taylor_decimal(a, b, z), 0.0
+    """Sum_k (a)_k / (b)_k z^k / k! (DLMF 13.2.2) and its error estimate, 0.
 
-
-def _kummer_taylor_decimal(a, b, z) -> complex:
-    """`_kummer_taylor`'s series in TAYLOR_DIGITS-digit decimal arithmetic.
-
-    Complex values are (real, imag) pairs of ``Decimal``; the float inputs
-    convert exactly and the sum rounds to ``complex`` once, at the end.
+    Each term is a pair of ints scaled by 2^TAYLOR_BITS and rounded down once
+    per step.  The sum stops at an exactly zero term (a terminating series)
+    or at |term| <= 2^-66 |sum|, both as |re| + |im|, and rounds once.
     """
-    with localcontext(_TAYLOR_CONTEXT):
-        ar, ai, br, bi = Decimal(a.real), Decimal(a.imag), Decimal(b.real), Decimal(b.imag)
-        zr, zi = Decimal(z.real), Decimal(z.imag)
-        tr, ti = Decimal(1), Decimal(0)
-        sr, si = tr, ti
-        for k in range(MAX_TAYLOR_TERMS):
-            # term *= z * (a + k) / (b + k) / (k + 1)
-            tr, ti = tr * zr - ti * zi, tr * zi + ti * zr
-            nr = ar + k
-            tr, ti = tr * nr - ti * ai, tr * ai + ti * nr
-            dr = br + k
-            d2 = (dr * dr + bi * bi) * (k + 1)
-            tr, ti = (tr * dr + ti * bi) / d2, (ti * dr - tr * bi) / d2
-            sr += tr
-            si += ti
-            t2 = tr * tr + ti * ti
-            if t2 == 0:
-                break  # terminating series (a a non-positive integer)
-            if t2 < _TAYLOR_STOP * (sr * sr + si * si):
-                break
-        else:
-            raise AccuracyError(
-                f"Kummer Taylor series did not converge in {MAX_TAYLOR_TERMS} terms "
-                f"for a={a}, b={b}, z={z}",
-                # in decimal: the float conversions can overflow to inf / inf
-                residual=float((t2 / max(sr * sr + si * si, Decimal("1e-300"))).sqrt()),
-            )
-    return complex(float(sr), float(si))
+    (ar, ai, da), (br, bi, db), (zr, zi, dz) = _exact(a), _exact(b), _exact(z)
+    # z (a + k) / (b + k) = z' (ar + k da + i ai) / (br + k db + i bi), z' = z db / da
+    zr, zi, dz = zr * db, zi * db, dz * da
+    one = 1 << TAYLOR_BITS
+    tr, ti, sr, si = one, 0, one, 0
+    for k in range(MAX_TAYLOR_TERMS):
+        # term *= z (a + k) conj(b + k) / (|b + k|^2 (k + 1))
+        nr, dr = ar + k * da, br + k * db
+        fr, fi = zr * nr - zi * ai, zr * ai + zi * nr
+        fr, fi = fr * dr + fi * bi, fi * dr - fr * bi
+        d = dz * (dr * dr + bi * bi) * (k + 1)
+        tr, ti = (tr * fr - ti * fi) // d, (tr * fi + ti * fr) // d
+        sr += tr
+        si += ti
+        mag, total = abs(tr) + abs(ti), abs(sr) + abs(si)
+        if mag << 66 <= total:
+            return complex(sr / one, si / one), 0.0  # int / int rounds correctly
+        if mag >> (TAYLOR_BITS + 1024):
+            break  # past the float range: the fraction bits cannot resolve the sum
+    raise AccuracyError(
+        f"Kummer Taylor series did not converge by term {k + 1} for a={a}, b={b}, z={z}",
+        residual=mag / total if mag < total else 1.0,
+    )
+
+
+def _exact(w: complex) -> tuple:
+    """Integers (re, im, d) with w = (re + i im) / d exactly; d a power of two."""
+    (re, q), (im, s) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+    d = max(q, s)
+    return re * (d // q), im * (d // s), d
 
 
 def _poincare_sum(p, q, zinv, max_terms):
@@ -315,16 +291,15 @@ def wronskian_residual(mu, gamma, z) -> float:
     u, du = _tricomi_u(mu, gamma, z, m), -mu * _tricomi_u(mu + 1.0, gamma + 1.0, z, m1)
     dm = (mu / gamma) * m1
     # the products M*U' and U*M' exceed W by ~e^{pi |Im gamma|} on the
-    # imaginary axis; form the difference in TAYLOR_DIGITS-digit decimal so
-    # the residual reflects the function values, not the combination's own
-    # cancellation
-    with localcontext(_TAYLOR_CONTEXT):
-        mr, mi, dur, dui = Decimal(m.real), Decimal(m.imag), Decimal(du.real), Decimal(du.imag)
-        ur, ui, dmr, dmi = Decimal(u.real), Decimal(u.imag), Decimal(dm.real), Decimal(dm.imag)
-        w_num = complex(
-            float(mr * dur - mi * dui - (ur * dmr - ui * dmi)),
-            float(mr * dui + mi * dur - (ur * dmi + ui * dmr)),
-        )
+    # imaginary axis; form the difference exactly so the residual reflects
+    # the function values, not the combination's own cancellation
+    (mr, mi), (dur, dui), (ur, ui), (dmr, dmi) = (
+        (Fraction(w.real), Fraction(w.imag)) for w in (m, du, u, dm)
+    )
+    w_num = complex(
+        float(mr * dur - mi * dui - (ur * dmr - ui * dmi)),
+        float(mr * dui + mi * dur - (ur * dmi + ui * dmr)),
+    )
     w_closed = -cmath.exp(
         ln_gamma_complex(gamma) - ln_gamma_complex(mu) - gamma * cmath.log(z) + z
     )

@@ -1,31 +1,19 @@
-"""Fixtures shared by the test modules: recorders of specfun's Taylor sums."""
+"""Fixtures shared by the test modules: a recorder of specfun's Taylor sums."""
 
 import pytest
 
 from exptwolevel import specfun
 
 
-def _recorded(monkeypatch, name):
-    """Arguments of every call of specfun.<name>, in call order."""
+@pytest.fixture
+def taylor_sums(monkeypatch):
+    """Arguments of every Taylor sum of M, in call order."""
     calls = []
-    kernel = getattr(specfun, name)
+    taylor = specfun._kummer_taylor
 
     def counted(*args):
         calls.append(args)
-        return kernel(*args)
+        return taylor(*args)
 
-    monkeypatch.setattr(specfun, name, counted)
+    monkeypatch.setattr(specfun, "_kummer_taylor", counted)
     return calls
-
-
-@pytest.fixture
-def taylor_sums(monkeypatch):
-    """Arguments of every Taylor sum of M, in call order: summed in double,
-    or again in decimal where the double sum fails its rounding bound."""
-    return _recorded(monkeypatch, "_kummer_taylor")
-
-
-@pytest.fixture
-def decimal_sums(monkeypatch):
-    """Arguments of every Taylor sum that falls back to decimal, in call order."""
-    return _recorded(monkeypatch, "_kummer_taylor_decimal")

@@ -225,10 +225,12 @@ class TestDelegation:
     @pytest.mark.parametrize(
         "base",
         # U's asymptotic prefactor (b x)^-mu at |b x| ~ 1e303, and the
-        # (epsilon / alpha)^2 of derived_params: both name their exponent
+        # (epsilon / alpha)^2 and (Delta / alpha)^2 of derived_params: each
+        # names its exponent
         [ModelParams(1e300, 1e-3, 0.0, 0.1, 0.2, 0.0, 20000.0),
-         ModelParams(1.0, 1.0, 0.0, 1e308, 0.0, 0.0, 10.0)],
-        ids=["tricomi-prefactor", "squared-coupling-ratio"],
+         ModelParams(1.0, 1.0, 0.0, 1e308, 0.0, 0.0, 10.0),
+         ModelParams(1.0, 1.0, 0.0, 0.0, 1e308, 0.0, 10.0)],
+        ids=["tricomi-prefactor", "squared-coupling-ratio", "squared-detuning-ratio"],
     )
     def test_overflow_is_typed(self, base):
         with pytest.raises(ExponentOverflowError):
