@@ -28,7 +28,9 @@ array, read as real numbers; each stage input is one dot of a tableau row
 with those rows, the 5th- and 3rd-order error estimates e5 and e3 are one
 dot together, and the step's error is the largest
 |h| e5^2 / sqrt(e5^2 + 0.01 e3^2) of any entry.  The phase factors of the
-coupling are formed at all 13 stage times of a step at once.  The tests pin
+coupling are formed at once at the 11 stage times a step adds: stage 0 is the
+last stage of the step before (FSAL), and stage 12 shares stage 11's time.
+Each stage's sum and input go to buffers made once per run.  The tests pin
 step counts and sampled rows by digest, so a change to this arithmetic that
 moves any bit shows there.
 """
@@ -103,13 +105,14 @@ class IntegratorConfig:
 def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
     """Generic batched DOP853 driver.
 
-    ``rhs(ts)`` takes the stage times of one step and returns ``f`` with
-    ``f(i, y)`` the derivative at ``ts[i]``, so coefficients that depend on
-    time alone are formed once per step.  ``y0`` may have any shape; the
-    error norm is the max over all entries.  Steps are shortened to land
-    exactly on ``t_eval`` points (and on t1), so sampling is exact rather
-    than interpolated.  Supports t1 < t0.  Returns (samples, accepted,
-    rejected), samples of shape (len(t_eval),) + y0.shape.
+    ``rhs(ts)`` takes stage times and returns ``f`` with ``f(i, y)`` the
+    derivative at ``ts[i]``, so coefficients that depend on time alone are
+    formed once per step: ``rhs`` gets the start time once, then the times
+    of stages 1-11 of each step, and stage 12 is evaluated at ``ts[10]``.
+    ``y0`` may have any shape; the error norm is the max over all entries.
+    Steps are shortened to land exactly on ``t_eval`` points (and on t1), so
+    sampling is exact rather than interpolated.  Supports t1 < t0.  Returns
+    (samples, accepted, rejected), samples of shape (len(t_eval),) + y0.shape.
     """
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
@@ -132,6 +135,9 @@ def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
     # figure batch sizes a complex dot took 0.01-2 ms on a 2-core machine, this 5 us
     flat = k.reshape(13, -1).view(float)
     k[0] = rhs(np.array([t]))(0, y)
+    # one stage's sum (as real numbers, then as y's increment) and input, reused
+    acc = np.empty(flat.shape[1])
+    dy, y8 = acc.view(complex).reshape(y.shape), np.empty_like(y)
     h = direction * min(max_step, span / 100.0, 1e-2)
     accepted = rejected = 0
 
@@ -146,10 +152,11 @@ def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
         # controller's natural step size
         clipped = (t + h - limit) * direction > 0
         h_try = limit - t if clipped else h
-        f = rhs(t + _C * h_try)
+        f = rhs(t + _C[1:12] * h_try)  # stage 0 is the last step's stage 12 (FSAL)
         for i in range(1, 13):  # row 12 of _A holds the 8th-order weights: the last input is y8
-            y8 = y + h_try * (_A[i] @ flat[:i]).view(complex).reshape(y.shape)
-            k[i] = f(i, y8)
+            np.matmul(_A[i], flat[:i], out=acc)
+            np.add(y, np.multiply(h_try, dy, out=dy), out=y8)
+            k[i] = f(min(i, 11) - 1, y8)  # stage i's time is ts[i - 1], stage 12's ts[10]
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y8))
         e5, e3 = np.abs((_ERR @ flat).view(complex)) / scale.reshape(-1)
         # the floor makes an entry with e5 = e3 = 0 (delta = 0) a 0, not 0/0; NaN stays NaN
@@ -157,7 +164,7 @@ def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
         if math.isnan(err):
             err = math.inf  # overflowed stages: reject and shrink the step the most
         if err <= 1.0:
-            t, y = t + h_try, y8
+            t, y, y8 = t + h_try, y8, y
             k[0] = k[12]  # FSAL
             accepted += 1
             while next_target < len(targets) and (t - targets[next_target][0]) * direction >= 0:
@@ -199,7 +206,7 @@ def integrate_tdse_batch(
         raise DomainError("the oracle batch holds no parameter points")
     fields = [(q.A, q.alpha, q.beta, q.epsilon, q.Delta) for q in params]
     A, alpha, beta, eps, Delta = np.array(fields).T
-    minus_i_delta = -0.5j * (eps + 1j * Delta)[:, None]
+    minus_i_delta = -0.5j * (eps + 1j * Delta)
     y0 = np.broadcast_to(np.asarray(init, dtype=complex), (len(params), 2)).copy()
     max_step = float(STEP_CAP / np.max(np.abs(alpha)))
     times = [t1] if t_eval is None else t_eval
@@ -216,7 +223,9 @@ def integrate_tdse_batch(
         def rhs(ts):
             # columns -i delta (e^{2i phi}, e^{-2i phi}) at each stage time; a' = coupling a[::-1]
             w = np.exp(1j * two_phi(ts))
-            coupling = minus_i_delta * np.stack((w, w.conj()), axis=-1)
+            coupling = np.empty(w.shape + (2,), dtype=complex)
+            np.multiply(minus_i_delta, w, out=coupling[..., 0])
+            np.multiply(minus_i_delta, np.conjugate(w, out=w), out=coupling[..., 1])
             return lambda i, a: coupling[i] * a[:, ::-1]
 
         ends = np.abs(two_phi([t0, t1]))

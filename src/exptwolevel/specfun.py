@@ -24,6 +24,12 @@ limit (good to ~1e-8, not gated); beyond it, the asymptotic route alone.
 The principal branch is used throughout, with the cut of U along the
 negative real axis; points on the cut evaluate as the limit from above.
 
+log Gamma, for the Gamma prefactors, is Hare's principal-branch algorithm (J.
+Algorithms 25, 1997), as in scipy's ``loggamma``: for Re z < 1/2 and |Im z| <= 7
+the reflection formula (DLMF 5.5.3) with branch term 2 pi i floor(Re z/2 + 1/4),
+else Stirling's series (DLMF 5.11.1, 8 terms) once a sum of principal logs has
+shifted z to Re z >= 7 or |Im z| > 7.  A signed zero Im z picks its side of the cut.
+
 The Wronskian convention satisfied by this implementation is
 
     M U' - U M' = -Gamma(gamma)/Gamma(mu) * z^{-gamma} e^z
@@ -34,9 +40,8 @@ The Wronskian convention satisfied by this implementation is
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
-
-from scipy.special import loggamma as _loggamma
 
 from .errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 
@@ -51,6 +56,10 @@ INTEGER_OFFSET = 1e-7
 ACCURACY_TARGET = 1e-9
 
 _INT_TOL = 1e-12
+# Stirling's coefficients B_2n / (2n (2n - 1)), n = 8 down to 1 (DLMF 5.11.1)
+_STIRLING = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
+             -1 / 360, 1 / 12)
+_LN_PI, _LN_SQRT_2PI = 1.14472988584940017414, 0.91893853320467274178
 
 
 def _finite(*args) -> tuple:
@@ -72,9 +81,35 @@ def _nonpositive_int(z) -> bool:
 def ln_gamma_complex(z) -> complex:
     """Principal branch of log Gamma(z); rejects the poles."""
     (z,) = _finite(z)
+    if z.real >= 0.5 or abs(z.imag) > 7.0:
+        return _ln_gamma_stirling(z)
     if _nonpositive_int(z):
         raise PoleError(f"log Gamma pole at z = {z}", location=round(z.real))
-    return complex(_loggamma(z))
+    # reflection: sin(pi z) = (-1)^n sin(pi (z - n)), with z - n exact
+    n = round(z.real)
+    x, y, sign = math.pi * (z.real - n), math.pi * z.imag, -1.0 if n % 2 else 1.0
+    s = complex(sign * math.sin(x) * math.cosh(y), sign * math.cos(x) * math.sinh(y))
+    branch = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
+    return complex(_LN_PI, branch) - cmath.log(s) - _ln_gamma_stirling(1.0 - z)
+
+
+def _ln_gamma_stirling(z: complex) -> complex:
+    """log Gamma(z) for Re z >= 1/2 or |Im z| > 7: Stirling's series after
+    shifting z up, log Gamma(z) = log Gamma(z + k) - sum of log(z + j), j < k.
+    The logs are taken of pairs of factors: Re z > 0 where z is shifted, so
+    the args of two factors sum inside (-pi, pi) and no 2 pi is lost."""
+    shift = 0j
+    if abs(z.imag) <= 7.0:
+        while z.real < 6.0:
+            shift += cmath.log(z * (z + 1.0))
+            z += 2.0
+        if z.real < 7.0:
+            shift += cmath.log(z)
+            z += 1.0
+    w = 1.0 / (z * z)
+    c8, c7, c6, c5, c4, c3, c2, c1 = _STIRLING
+    series = ((((((c8 * w + c7) * w + c6) * w + c5) * w + c4) * w + c3) * w + c2) * w + c1
+    return (z - 0.5) * cmath.log(z) - z + _LN_SQRT_2PI + series / z - shift
 
 
 def _rgamma(z) -> complex:

@@ -337,8 +337,9 @@ def emit(ds: Dataset, fmt: str, path=None) -> None:
             for key, val in ds.provenance.items():
                 fh.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
             fh.write(",".join(ds.columns) + "\n")
+            line = ",".join(["%.17g"] * len(ds.columns)) + "\n"
             for row in ds.rows:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+                fh.write(line % tuple(row))
         else:
             # JSON has no NaN: a flagged row's cells are null
             rows = [[v if math.isfinite(v) else None for v in row] for row in ds.rows]

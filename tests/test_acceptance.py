@@ -51,12 +51,12 @@ FIGURE_SETS = {
 
 
 # SHA-256 of each figure's emitted CSV body (every line not starting with "#"),
-# recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.  Other versions
-# may round the last bits differently.
+# recorded under Python 3.11.7 and numpy 2.4.6; the package imports no scipy.
+# Other versions may round the last bits differently.
 FIGURE_ROW_DIGESTS = {
-    2: "e421d039f972f641ec1b64b4a28bc2576d0d943193d155b650cabbfe389e5797",
-    3: "acd873d40ade0ab3d158139b53aa4d4325d78f7c3431fd3342539ac35aba9581",
-    4: "c6214bb9f1accce13c56c7ed49cdb2397f5817d20017d7e572c4605d92653102",
+    2: "3ab698079ec4be34a07d32ffe856ed522f8b0b5e70b7ba0a829bc36bea711e86",
+    3: "4679f996425940c0672b4c778f06a1050eb7aee987df80f2e717172135e309a9",
+    4: "c6ef8885b6463279adbaa60c4ede472254a372d367fbbf6382a3c1fca66fe5b1",
     5: "b7d7030538ca6cd5f01910400c1e894029034a77c6c199e2b4e4d75fac22ecdb",
     6: "b7e26590ce0e8ac993968ce0fe54c994cb6627ac9e77bc1192ef818770140e4d",
     7: "c972e955833d7f1099560e3239ac763bfdfa2e5519c69e9ec7e9bf66fc10e2af",

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exptwolevel import specfun
+from exptwolevel import analytic, specfun
 from exptwolevel.errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 from exptwolevel.model import AxisSpec
 from exptwolevel.specfun import (
@@ -205,10 +205,52 @@ TSCAN = SweepConfig(
 )
 
 
+def _ln_gamma_box(n=3000, far=1000, seed=2025):
+    """Seeded log Gamma arguments: Re z in [-6, 9] with Im z in [-10, 10], then
+    with |Im z| in [10, 300], then points near poles and the |Im z| = 7 switch,
+    and one far out."""
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(-6.0, 9.0, n) + 1j * rng.uniform(-10.0, 10.0, n)
+    high = rng.uniform(-6.0, 9.0, far) + 1j * rng.choice([-1.0, 1.0], far) * rng.uniform(
+        10.0, 300.0, far)
+    edge = [-1 - 1e-7, -2 + 1e-9j, 1e-7, -1e-7, 0.49 + 7j, 0.49 - 7j, 1e3 + 1e3j]
+    return [complex(w) for w in (*near, *high, *edge)]
+
+
 class TestMpmathReference:
     """M against mpmath's 1F1 at 50 digits: within 2^-52 relative on the
     series route (|z| <= TAYLOR_RADIUS), which only a correctly rounded sum
-    meets, within ACCURACY_TARGET beyond it, or a typed error."""
+    meets, within ACCURACY_TARGET beyond it, or a typed error.  log Gamma
+    against mpmath's loggamma, on its principal branch."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        # None: the box; then every log Gamma argument of the sweeps
+        [None, *(_figure_config(n, oracle=False) for n in (2, 3, 4)), TSCAN],
+        ids=["box", "figure-2", "figure-3", "figure-4", "t-scan"],
+    )
+    def test_ln_gamma(self, cfg, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        if cfg is None:
+            points = _ln_gamma_box()
+        else:
+            points = []
+
+            def recorded(z):
+                points.append(z)
+                return ln_gamma_complex(z)
+
+            # analytic imports the name, specfun calls it through its module
+            monkeypatch.setattr(specfun, "ln_gamma_complex", recorded)
+            monkeypatch.setattr(analytic, "ln_gamma_complex", recorded)
+            run_sweep(cfg)
+            monkeypatch.undo()
+        assert points
+        for z in set(points):
+            with mpmath.workdps(50):
+                ref = complex(mpmath.loggamma(z))
+            # an error of 2 pi in Im, off the principal branch, fails this too
+            assert abs(ln_gamma_complex(z) - ref) <= 1e-14 * max(1.0, abs(ref)), z
 
     @pytest.mark.parametrize(
         "cfg",
