@@ -18,9 +18,9 @@ One route rule serves both functions (thresholds are the constants below):
   only above the radius.  A value that still misses the target raises
   ``AccuracyError``.  A non-finite argument raises ``DomainError``.
 
-Integer second parameter of U takes, inside the radius, the average at
-``gamma +/- INTEGER_OFFSET``, which cancels the O(h) term of the degenerate
-limit (good to ~1e-8, not gated); beyond it, the asymptotic route alone.
+U has no series route for gamma within INTEGER_BAND of an integer (as complex
+distance), where the connection's Gamma poles cancel: the asymptotic route runs
+alone there at any |z|, under the same gate.
 The principal branch is used throughout, with the cut of U along the
 negative real axis; points on the cut evaluate as the limit from above.
 
@@ -52,7 +52,7 @@ RETRY_RADIUS = 50.0
 MAX_TAYLOR_TERMS = 700
 TAYLOR_BITS = 160
 MAX_ASYMPTOTIC_TERMS = 120
-INTEGER_OFFSET = 1e-7
+INTEGER_BAND = 1e-6
 ACCURACY_TARGET = 1e-9
 
 _INT_TOL = 1e-12
@@ -219,7 +219,7 @@ def _route(name, series, asymptotic, mu, gamma, z):
     """The route rule.  Each route maps (mu, gamma, z) to (value, error
     estimate); ``series`` is None where there is no series route."""
     r = abs(z)
-    first, other = (series, asymptotic) if r <= TAYLOR_RADIUS else (asymptotic, series)
+    first, other = (series, asymptotic) if r <= TAYLOR_RADIUS and series else (asymptotic, series)
     val, err = first(mu, gamma, z)
     # written so that a NaN estimate (an overflowed sum) fails the target too
     if not err <= ACCURACY_TARGET and other is not None and RETRY_MIN <= r <= RETRY_RADIUS:
@@ -283,14 +283,7 @@ def _tricomi_u(mu, gamma, z, m=None):
         return 1.0 + 0.0j  # terminating series, any gamma and z
     if z == 0:
         raise DomainError("U(mu, gamma, 0) not evaluated (generically singular at z = 0)")
-    gr = round(gamma.real)
-    int_gamma = abs(gamma.imag) <= _INT_TOL and abs(gamma.real - gr) < 10 * INTEGER_OFFSET
-    if int_gamma and abs(z) <= TAYLOR_RADIUS:
-        # degenerate (logarithmic) case: symmetric offset cancels the O(h) term
-        h = INTEGER_OFFSET
-        up, _ = _tricomi_connection(mu, complex(gr + h, gamma.imag), z)
-        dn, _ = _tricomi_connection(mu, complex(gr - h, gamma.imag), z)
-        return 0.5 * (up + dn)
+    int_gamma = abs(gamma - round(gamma.real)) < INTEGER_BAND
     series = None if int_gamma else lambda *w: _tricomi_connection(*w, m)
     return _route("U", series, _tricomi_asymptotic_raw, mu, gamma, z)
 

@@ -52,7 +52,7 @@ class TestBasis:
             # beyond TAYLOR_RADIUS: M and U both retry their series route
             (18.918392215047565 - 100.93670063591014j, 37.83678443009513 - 116.16399890917033j,
              -47.920819464223165j),
-            (0.3 + 0.2j, 2.0, 1.0 + 2.0j),  # integer gamma: U averages two offsets
+            (0.3 + 0.2j, 2.0, 30j),  # integer gamma: U takes the asymptotic route alone
         ],
         ids=["small-z", "retry-below-radius", "retry-above-radius", "integer-gamma"],
     )

@@ -1,6 +1,6 @@
 """Confluent hypergeometric building blocks: frozen reference values,
 closed-form identities, the Wronskian property grid, the Taylor sum's
-stops, and M against mpmath where it is installed."""
+stops, and M and U against mpmath where it is installed."""
 
 import cmath
 import decimal
@@ -49,11 +49,24 @@ REFERENCE_M = [
 ]
 
 REFERENCE_U = [
-    (1.0, 1.0, 1.0, 0.5963473623231940743),  # e * E1(1)
     (0.3 + 0.2j, 1.1, 0.5 - 0.4j, 0.9950061231940401 + 0.1964986895848441j),
     # |z| in [RETRY_MIN, TAYLOR_RADIUS]: the connection misses the target
     # (estimate 3e-3) and the asymptotic retry is kept; 60-digit evaluation
     (0.5, 1.2, 30.0, 0.18168924984404036),
+]
+
+# gamma within INTEGER_BAND of an integer: U has no series route there, and the
+# asymptotic route alone either meets ACCURACY_TARGET or raises AccuracyError.
+# Values from 60-digit evaluation; a raising point keeps its value as a comment.
+INTEGER_GAMMA_U = [
+    (1.0, 1.0, 30.0, 0.032289738758980125216),  # e^30 E1(30)
+    (0.2 + 1j, 1.0, 20 - 5j, -0.44312061966921827090 - 0.069095450446525204013j),
+    (0.2 + 1j, 2.0, 20 - 5j, -0.43969876238321441267 - 0.090983527233283980672j),
+    (1.0, 1.0, 1.0, AccuracyError),  # e E1(1) = 0.59634736232319407434
+    # 0.71954618377117013435 - 0.10664161097772469501j
+    (0.3 + 0.2j, 0.0, 1.5 - 0.5j, AccuracyError),
+    # 0.71954621332315623891 - 0.10664159213607584175j
+    (0.3 + 0.2j, 4e-7, 1.5 - 0.5j, AccuracyError),
 ]
 
 
@@ -63,11 +76,11 @@ class TestReferenceValues:
         assert relerr(kummer_m(mu, g, z), expect) < 1e-13
 
     def test_tricomi_noninteger_gamma(self):
-        mu, g, z, expect = REFERENCE_U[1]
+        mu, g, z, expect = REFERENCE_U[0]
         assert relerr(tricomi_u(mu, g, z), expect) < 1e-13
 
     def test_tricomi_asymptotic_retry_below_radius(self):
-        mu, g, z, expect = REFERENCE_U[2]
+        mu, g, z, expect = REFERENCE_U[1]
         assert relerr(tricomi_u(mu, g, z), expect) < 1e-13
 
     def test_kummer_left_half_plane_correctly_rounded(self):
@@ -75,10 +88,16 @@ class TestReferenceValues:
         mu, g, z, expect = REFERENCE_M[4]
         assert kummer_m(mu, g, z) == expect
 
-    def test_tricomi_integer_gamma(self):
-        # integer gamma takes the symmetric-offset limit, here good to ~2e-8
-        mu, g, z, expect = REFERENCE_U[0]
-        assert relerr(tricomi_u(mu, g, z), expect) < 1e-6
+    @pytest.mark.parametrize(
+        "mu,g,z,expect", INTEGER_GAMMA_U,
+        ids=["e30-E1-30", "z20-g1", "z20-g2", "e-E1-1", "z1.5-g0", "z1.5-g4e-7"],
+    )
+    def test_tricomi_integer_gamma(self, mu, g, z, expect):
+        if expect is AccuracyError:
+            with pytest.raises(AccuracyError):
+                tricomi_u(mu, g, z)
+        else:
+            assert relerr(tricomi_u(mu, g, z), expect) < specfun.ACCURACY_TARGET
 
     def test_ln_gamma(self):
         expect = -0.6527906442043729 - 0.9550077243425691j
@@ -199,6 +218,21 @@ def _box_arguments(n=300, seed=2024):
     return [(complex(a), complex(b), complex(c)) for a, b, c in zip(mu, g, z)]
 
 
+def _near_integer_gamma_box(n=400, seed=11):
+    """Seeded (mu, gamma, z) of the box above with gamma = k + h near an integer
+    k in {-2, ..., 3}: |h| log-uniform in [1e-12, 1e-6), h real (either sign)
+    on the first half of the points and complex on the second."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    k = rng.integers(-2, 4, n)
+    size = 10.0 ** rng.uniform(-12.0, -6.0, n)
+    phase = np.where(np.arange(n) < n // 2, rng.choice([0.0, np.pi], n),
+                     rng.uniform(-np.pi, np.pi, n))
+    g = k + size * np.exp(1j * phase)
+    z = -1j * rng.uniform(0.1, 60.0, n)
+    return [(complex(a), complex(b), complex(c)) for a, b, c in zip(mu, g, z)]
+
+
 TSCAN = SweepConfig(
     _figure_config(3).base, (AxisSpec("t", 0.2, 4.0, 20), AxisSpec("Delta", -1.5, 1.5, 7)),
     "amplitudes",
@@ -221,7 +255,8 @@ class TestMpmathReference:
     """M against mpmath's 1F1 at 50 digits: within 2^-52 relative on the
     series route (|z| <= TAYLOR_RADIUS), which only a correctly rounded sum
     meets, within ACCURACY_TARGET beyond it, or a typed error.  log Gamma
-    against mpmath's loggamma, on its principal branch."""
+    against mpmath's loggamma, on its principal branch.  U near integer gamma
+    against mpmath's hyperu: within ACCURACY_TARGET or a typed error."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -279,6 +314,24 @@ class TestMpmathReference:
             assert relerr(got, ref) < limit, (mu, g, z)
             checked += 1
         assert checked >= 0.9 * len(points) > 0
+
+    def test_tricomi_u_near_integer_gamma(self):
+        # every point is within INTEGER_BAND, where the connection's Gamma
+        # prefactors near their poles cancel to ~1/h: U takes the asymptotic
+        # route alone, and its gate passes only values that meet the target
+        mpmath = pytest.importorskip("mpmath")
+        points = _near_integer_gamma_box()
+        checked = 0
+        for mu, g, z in points:
+            try:
+                got = tricomi_u(mu, g, z)
+            except (AccuracyError, PoleError):
+                continue
+            with mpmath.workdps(50):
+                ref = complex(mpmath.hyperu(mu, g, z))
+            assert relerr(got, ref) < specfun.ACCURACY_TARGET, (mu, g, z)
+            checked += 1
+        assert checked >= 0.5 * len(points)
 
 
 class TestDomain:
@@ -362,7 +415,7 @@ class TestDomain:
         assert specfun.MAX_TAYLOR_TERMS == 700
         assert specfun.TAYLOR_BITS == 160
         assert specfun.MAX_ASYMPTOTIC_TERMS == 120
-        assert specfun.INTEGER_OFFSET == 1e-7
+        assert specfun.INTEGER_BAND == 1e-6
         assert specfun.ACCURACY_TARGET == 1e-9
 
 
