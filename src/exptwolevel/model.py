@@ -94,9 +94,9 @@ class DerivedParams:
 
 def require_finite(params) -> None:
     """Raise DomainError unless every field of a parameter record is finite."""
-    for name, value in vars(params).items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+    if not all(map(math.isfinite, vars(params).values())):  # the name only on failure
+        name, value = next((k, v) for k, v in vars(params).items() if not math.isfinite(v))
+        raise DomainError(f"{name} must be finite, got {value}")
 
 
 def json_number(value) -> float:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, ExponentOverflowError
 from .model import ModelParams, derived_params, omega_integral, t_of_x
 
 # DOP853 tableau: 12 stages and the FSAL row, whose input (row 12 of _A) is the
@@ -243,20 +243,29 @@ def integrate_tdse_batch(
 
 def constant_h_propagator(H, dt: float) -> np.ndarray:
     """exp(-i H dt) for traceless 2x2 H via the closed rho-formula."""
-    H = np.asarray(H, dtype=complex)
-    (h00, h01), (h10, _) = H.tolist()  # Python complex: an infinite entry is NaN, no warning
-    rho = np.sqrt(h00 * h00 + h01 * h10) + 0j  # the principal root of a complex argument
-    w = complex(rho) * dt  # Python arithmetic: an infinite dt gives NaN without a warning
+    (h00, h01), (h10, h11) = np.asarray(H, dtype=complex).tolist()
+    cosw, sinc = _rotation(h00, h01, h10, dt)
+    return np.array([[cosw - 1j * sinc * h00, -1j * sinc * h01],
+                     [-1j * sinc * h10, cosw - 1j * sinc * h11]])
+
+
+def _rotation(h00: complex, h01: complex, h10: complex, dt: float, power: int = 1) -> tuple:
+    """(cos w, sin(w) / rho), w = rho dt, rho = sqrt(h00^2 + h01 h10), in Python complex
+    arithmetic (an infinite entry is NaN, no warning); power |Im w| must be in exp's range."""
+    rho = cmath.sqrt(h00 * h00 + h01 * h10)
+    w = rho * dt
     if not cmath.isfinite(w):
         raise DomainError(f"rotation angle {w} of exp(-i H dt) is not finite (dt = {dt})")
+    if power * abs(w.imag) > ExponentOverflowError.LIMIT:
+        raise ExponentOverflowError(power * abs(w.imag))
     if abs(w) < 1e-6:
         # sin(w)/rho -> dt * (1 - w^2/6 + w^4/120)
         sinc = dt * (1.0 - w * w / 6.0 * (1.0 - w * w / 20.0))
         cosw = 1.0 - w * w / 2.0 * (1.0 - w * w / 12.0)
     else:
-        sinc = np.sin(w) / rho
-        cosw = np.cos(w)
-    return cosw * np.eye(2, dtype=complex) - 1j * sinc * H
+        sinc = cmath.sin(w) / rho
+        cosw = cmath.cos(w)
+    return cosw, sinc
 
 
 def transformed_ode_check(p: ModelParams, x0: float, x1: float,

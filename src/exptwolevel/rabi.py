@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError, ExponentOverflowError
 from .model import ModelParams, require_finite
-from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse_batch
+from .oracle import IntegratorConfig, _rotation, constant_h_propagator, integrate_tdse_batch
 from .analytic import AmplitudePair
 
 
@@ -42,12 +42,6 @@ class RabiParams:
 
     def __post_init__(self):
         require_finite(self)
-
-
-def _rabi_hamiltonian(epsilon: float, Delta: float) -> np.ndarray:
-    om = 0.5 * epsilon
-    d = 0.5 * complex(epsilon, Delta)
-    return np.array([[om, d], [d, -om]], dtype=complex)
 
 
 def rabi_survival_closed_form(r: RabiParams) -> complex:
@@ -62,17 +56,21 @@ def rabi_survival_closed_form(r: RabiParams) -> complex:
     denom = r.epsilon ** 2 + d2
     if abs(denom) < 1e-300:
         raise DegeneracyError("degenerate frequency: eps^2 + (eps + i Delta)^2 = 0")
-    freq = cmath.sqrt(denom)
-    return d2 / denom * cmath.sin(0.5 * freq * r.t) ** 2
+    w = 0.5 * cmath.sqrt(denom) * r.t
+    if 2.0 * abs(w.imag) > ExponentOverflowError.LIMIT:  # sin(w)^2 grows as e^(2 |Im w|)
+        raise ExponentOverflowError(2.0 * abs(w.imag))
+    return d2 / denom * cmath.sin(w) ** 2
 
 
 def rabi_survival_oracle(r: RabiParams) -> AmplitudePair:
     """Constant-H amplitudes at r.t of the initial state (1, 0): the transfer
     amplitude U21 as ``c1`` and the survival amplitude U11 as ``c2``, so the
     survival fills the p22 slots (the diagonal element's role elsewhere) and
-    the transfer the p12 slots, under both reporting conventions."""
-    u = constant_h_propagator(_rabi_hamiltonian(r.epsilon, r.Delta), r.t)
-    return AmplitudePair(u[1, 0], u[0, 0], r.t)
+    the transfer the p12 slots, under both reporting conventions.  Their
+    squared moduli, the populations, must stay in the float range."""
+    om, d = complex(0.5 * r.epsilon), 0.5 * complex(r.epsilon, r.Delta)
+    cosw, sinc = _rotation(om, d, d, r.t, power=2)
+    return AmplitudePair(-1j * sinc * d, cosw - 1j * sinc * om, r.t)
 
 
 # exponential magnitude below which the model counts as "in the Rabi limit"
@@ -96,8 +94,9 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
             f"{RABI_LIMIT_THRESHOLD} * |epsilon| = {RABI_LIMIT_THRESHOLD * abs(p.epsilon):.3e} "
             f"at t_probe = {t_probe}"
         )
-    h = _rabi_hamiltonian(p.epsilon, p.Delta)
-    rho = abs(cmath.sqrt(complex(h[0, 0]) ** 2 + complex(h[0, 1]) ** 2))
+    om, d = 0.5 * p.epsilon, 0.5 * complex(p.epsilon, p.Delta)
+    h = np.array([[om, d], [d, -om]], dtype=complex)
+    rho = abs(cmath.sqrt(complex(om) ** 2 + d ** 2))
     window = 2.0 * (2.0 * math.pi / rho) if rho > 0 else 1.0
     if p.A != 0 and p.alpha > 0:
         # keep the perturbation from growing by more than 2x over the window,

@@ -249,20 +249,37 @@ def kummer_m(mu, gamma, z) -> complex:
 
 def _tricomi_connection(mu, gamma, z, m=None):
     """Two-M connection value of U plus a roundoff estimate from the
-    cancellation between the two terms; ``m``, if given, is M(mu, gamma, z)."""
-    t1 = 0.0 + 0.0j
+    cancellation between the two terms; ``m``, if given, is M(mu, gamma, z).
+
+    Each term's relative error counts 3e-16 for M, the power and the
+    products, and for each Gamma factor exp(+-log Gamma(w)) the rounding of
+    log Gamma's value, 2^-53 |log Gamma(w)| (large near a pole), and of a
+    computed argument w, 2^-53 |w| amplified by |psi(w)| ~ 1 / dist(w, poles).
+    """
+    t1, e1 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(mu - gamma + 1.0):
-        c1 = cmath.exp(ln_gamma_complex(1.0 - gamma)) * _rgamma(mu - gamma + 1.0)
-        t1 = c1 * (kummer_m(mu, gamma, z) if m is None else m)
-    t2 = 0.0 + 0.0j
+        w, v = 1.0 - gamma, mu - gamma + 1.0
+        lw, lv = ln_gamma_complex(w), ln_gamma_complex(v)
+        t1 = cmath.exp(lw) * cmath.exp(-lv) * (kummer_m(mu, gamma, z) if m is None else m)
+        e1 = _gamma_error(w, lw) + _gamma_error(v, lv)
+    t2, e2 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(mu):
-        c2 = cmath.exp(ln_gamma_complex(gamma - 1.0)) * _rgamma(mu)
-        t2 = c2 * cmath.exp((1.0 - gamma) * cmath.log(z)) * kummer_m(
+        w = gamma - 1.0
+        lw, lm = ln_gamma_complex(w), ln_gamma_complex(mu)
+        t2 = cmath.exp(lw) * cmath.exp(-lm) * cmath.exp((1.0 - gamma) * cmath.log(z)) * kummer_m(
             mu - gamma + 1.0, 2.0 - gamma, z
         )
+        e2 = _gamma_error(w, lw) + 2.0**-53 * abs(lm)  # mu is not rounded here
     out = t1 + t2
-    err = 3e-16 * (abs(t1) + abs(t2)) / max(abs(out), 1e-300)
+    err = (abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2)) / max(abs(out), 1e-300)
     return out, err
+
+
+def _gamma_error(w: complex, ln_gamma: complex) -> float:
+    """Relative rounding error of exp(+-ln_gamma), ln_gamma = log Gamma(w),
+    for a w rounded once; see `_tricomi_connection`."""
+    pole = min(0, round(w.real))
+    return 2.0**-53 * (abs(ln_gamma) + abs(w) / abs(w - pole))
 
 
 def tricomi_u(mu, gamma, z) -> complex:

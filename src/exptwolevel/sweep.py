@@ -7,9 +7,10 @@ with a full provenance header.
 
 Every quantity is one entry of a table: the axes it may sweep, its value
 columns, and the function that evaluates one grid point.  Points run
-serially in grid order.  For populations and amplitudes the oracle runs
-once per sweep, as one batch over every point sampled at each point's end
-time, so datasets are bitwise reproducible; the closed form builds the t0
+serially in grid order, each made once into its parameter record.  For
+populations and amplitudes the oracle runs once per sweep, as one batch over
+every point sampled at each point's end time, and the rows reuse its
+records, so datasets are bitwise reproducible; the closed form builds the t0
 basis once per parameter set, which a t axis shares.  Each row reads its
 columns off the values the routes return: a populations or amplitudes row
 off the `AmplitudePair` of each route, a spectrum row off the parts of the
@@ -30,7 +31,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 from . import __version__
@@ -130,40 +131,37 @@ def _error_code(exc: Exception) -> int:
     return 4
 
 
-def _grid_points(cfg: SweepConfig):
-    """Row-major list of {axis_name: value} dicts."""
-    names = [ax.name for ax in cfg.axes]
-    return [dict(zip(names, vals)) for vals in itertools.product(*(ax.values() for ax in cfg.axes))]
-
-
-def _apply_point(cfg: SweepConfig, pt: dict):
-    """Split a grid point into its ModelParams and its time (t1 without a t
-    axis).  A quantity that propagates from t0 needs a time past t0; an
-    instantaneous one takes any time."""
-    q = replace(cfg.base, **{k: v for k, v in pt.items() if k != "t"})
-    t = float(pt.get("t", cfg.base.t1))
-    if QUANTITIES[cfg.quantity].propagates and not t > q.t0:
+def _point_params(cfg: SweepConfig, quantity: _Quantity, pt: dict):
+    """A grid point's record: RabiParams for a Rabi quantity, else
+    (ModelParams, t) with t = t1 without a t axis.  DomainError for an invalid
+    point, or a quantity propagating from t0 whose time is not past t0."""
+    b = cfg.base
+    t = float(pt.get("t", b.t1))
+    if quantity.point is _rabi_point:
+        return RabiParams(pt.get("epsilon", b.epsilon), pt.get("Delta", b.Delta), t)
+    q = ModelParams(pt.get("A", b.A), pt.get("alpha", b.alpha), pt.get("beta", b.beta),
+                    pt.get("epsilon", b.epsilon), pt.get("Delta", b.Delta), b.t0, b.t1)
+    if quantity.propagates and not t > q.t0:
         raise DomainError(f"sample time t = {t} must exceed t0 = {q.t0}")
     return q, t
 
 
-def _oracle_finals(cfg: SweepConfig, pts: list) -> list:
-    """Final amplitudes (an AmplitudePair) from the ODE oracle for each grid
-    point, None where the point itself is invalid, or the AccuracyError of a
-    point whose oracle run fails.
+def _oracle_points(cfg: SweepConfig, quantity: _Quantity, pts: list) -> list:
+    """(record, final) for each grid point: the final is the oracle's
+    AmplitudePair or the error that flags the row, the DomainError of an
+    invalid point (whose record is None) or the AccuracyError of its run.
 
     Every valid point goes into one batch over the common window, sampled at
     each distinct end time, so a t-axis sweep costs one batched run too.
     """
-    valid = []
+    records, finals = [None] * len(pts), [None] * len(pts)
     for i, pt in enumerate(pts):
         try:
-            valid.append((i, *_apply_point(cfg, pt)))
-        except DomainError:  # the row is flagged when the point is evaluated
-            continue
-    finals = [None] * len(pts)
-    _batch_finals(cfg, valid, finals)
-    return finals
+            records[i] = _point_params(cfg, quantity, pt)
+        except DomainError as exc:
+            finals[i] = exc
+    _batch_finals(cfg, [(i, *rec) for i, rec in enumerate(records) if rec is not None], finals)
+    return list(zip(records, finals))
 
 
 def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
@@ -197,11 +195,13 @@ def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
         finals[i] = AmplitudePair(complex(c1), complex(c2), t_end)
 
 
-def _propagate(cfg, pt, starts: dict) -> AmplitudePair:
-    """Closed-form amplitudes of a grid point for the initial state (0, 1) at
-    t0; `starts` holds one propagator start, or the error it raised, per
-    ModelParams of the rows sharing it."""
-    q, t = _apply_point(cfg, pt)
+def _propagate(rec, starts) -> AmplitudePair:
+    """Closed-form amplitudes at t of the state (0, 1) at t0 for the record
+    (ModelParams, t); on a t axis `starts` holds one propagator start, or the
+    error it raised, per ModelParams of the rows sharing it, else it is None."""
+    q, t = rec
+    if starts is None:
+        return _prepared_in_lower(_propagator_end(*_propagator_start(q, q.t0), t))
     if q not in starts:
         try:
             starts[q] = _propagator_start(q, q.t0)
@@ -212,8 +212,8 @@ def _propagate(cfg, pt, starts: dict) -> AmplitudePair:
     return _prepared_in_lower(_propagator_end(*starts[q], t))
 
 
-def _populations_point(cfg, pt, final, starts):
-    a = _propagate(cfg, pt, starts)
+def _populations_point(cfg, rec, final, starts):
+    a = _propagate(rec, starts)
     vals = [a.p12_paper, a.p22_paper, a.p12_mod2, a.p22_mod2, a.norm]
     if cfg.oracle:
         dev = max(abs(a.p12_mod2 - final.p12_mod2), abs(a.p22_mod2 - final.p22_mod2))
@@ -221,8 +221,8 @@ def _populations_point(cfg, pt, final, starts):
     return vals
 
 
-def _amplitudes_point(cfg, pt, final, starts):
-    a = _propagate(cfg, pt, starts)
+def _amplitudes_point(cfg, rec, final, starts):
+    a = _propagate(rec, starts)
     vals = [a.c1.real, a.c1.imag, a.c2.real, a.c2.imag, a.norm]
     if cfg.oracle:
         o1, o2 = final.c1, final.c2
@@ -230,21 +230,20 @@ def _amplitudes_point(cfg, pt, final, starts):
     return vals
 
 
-def _spectrum_point(cfg, pt, final, starts):
-    d = energy_decomposition(*_apply_point(cfg, pt))
+def _spectrum_point(cfg, rec, final, starts):
+    d = energy_decomposition(*rec)
     return [d.e_plus.real, d.e_plus.imag, d.e_minus.real, d.e_minus.imag, d.phi, d.z_mag]
 
 
-def _rabi_point(cfg, pt, final, starts):
+def _rabi_point(cfg, r, final, starts):
     # closed-form transfer (both conventions), then the oracle's survival,
     # its transfer and their deviation; an interferogram keeps the survival
-    b = cfg.base
-    r = RabiParams(pt.get("epsilon", b.epsilon), pt.get("Delta", b.Delta), pt.get("t", b.t1))
     cf = rabi_survival_closed_form(r)
     vals = [cf.real, abs(cf)]
     if cfg.oracle:
         orc = rabi_survival_oracle(r)
-        vals += [orc.p22_mod2, orc.p12_mod2, abs(abs(cf) - orc.p12_mod2)]
+        p12 = orc.p12_mod2
+        vals += [orc.p22_mod2, p12, abs(vals[1] - p12)]
     return vals
 
 
@@ -253,7 +252,7 @@ class _Quantity:
     axes: tuple  # names a sweep may vary
     columns: tuple  # value columns
     oracle_columns: tuple  # appended when the config asks for the oracle
-    point: Callable  # (cfg, grid point, oracle AmplitudePair | None, starts) -> values, maybe more
+    point: Callable  # (cfg, record, oracle AmplitudePair | None, starts) -> values, maybe more
     propagates: bool = False  # from t0 to t > t0; oracle columns from the batch finals
     exact_axes: bool = False  # the sweep must vary exactly `axes`, in order
 
@@ -299,19 +298,19 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     quantity = QUANTITIES[cfg.quantity]
     names = [ax.name for ax in cfg.axes]
     values = list(quantity.columns) + list(quantity.oracle_columns if cfg.oracle else ())
-    pts = _grid_points(cfg)
-    finals = _oracle_finals(cfg, pts) if cfg.oracle and quantity.propagates else [None] * len(pts)
-    starts = {}  # see _propagate; only the rows of a t axis share a start
-    rows = []
-    for pt, final in zip(pts, finals):
-        starts = starts if "t" in names else {}
-        prefix = [pt[n] for n in names]
+    pts = [dict(zip(names, v)) for v in itertools.product(*(ax.values() for ax in cfg.axes))]
+    batch = _oracle_points(cfg, quantity, pts) if cfg.oracle and quantity.propagates else None
+    starts = {} if "t" in names else None  # see _propagate
+    point, n, rows = quantity.point, len(values), []
+    for i, pt in enumerate(pts):
         try:
-            if isinstance(final, AccuracyError):
+            rec, final = batch[i] if batch else (_point_params(cfg, quantity, pt), None)
+            if isinstance(final, Exception):
                 raise final
-            rows.append(prefix + quantity.point(cfg, pt, final, starts)[:len(values)] + [0])
+            # concatenation sizes each row exactly, where unpacking would over-allocate
+            rows.append(list(pt.values()) + point(cfg, rec, final, starts)[:n] + [0])
         except Exception as exc:  # flagged row, sweep continues
-            rows.append(prefix + [math.nan] * len(values) + [_error_code(exc)])
+            rows.append(list(pt.values()) + [math.nan] * n + [_error_code(exc)])
     provenance = {
         "generator": f"exptwolevel {__version__}",
         "config": cfg.to_json_dict(),

@@ -59,7 +59,9 @@ FIGURE_ROW_DIGESTS = {
     4: "c6ef8885b6463279adbaa60c4ede472254a372d367fbbf6382a3c1fca66fe5b1",
     5: "b7d7030538ca6cd5f01910400c1e894029034a77c6c199e2b4e4d75fac22ecdb",
     6: "b7e26590ce0e8ac993968ce0fe54c994cb6627ac9e77bc1192ef818770140e4d",
-    7: "c972e955833d7f1099560e3239ac763bfdfa2e5519c69e9ec7e9bf66fc10e2af",
+    # the constant-H oracle in cmath, not numpy: p_mod2_oracle moved on 954
+    # rows by <= 1.8e-15, and stays within 1.9e-14 of scipy's expm
+    7: "4dcb8b929cec62e844c9a67328f89f42758942ef6282020cbb8f84824110bf72",
 }
 
 

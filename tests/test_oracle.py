@@ -17,7 +17,7 @@ import pytest
 import exptwolevel
 import exptwolevel.oracle as oracle
 from exptwolevel import specfun
-from exptwolevel.errors import AccuracyError, DomainError
+from exptwolevel.errors import AccuracyError, DomainError, ExponentOverflowError
 from exptwolevel.model import AxisSpec, ModelParams, omega_integral, x_of_t
 from exptwolevel.oracle import (
     IntegratorConfig,
@@ -361,6 +361,13 @@ class TestConstantPropagator:
     def test_non_finite_angle_rejected(self, h, dt):
         with pytest.raises(DomainError):
             constant_h_propagator(h, dt)
+
+    def test_overflow_is_typed(self):
+        # |Im w| = 2500: cos w and sin w overflow, and the error names the exponent
+        h = np.array([[0.0, 2.5j], [2.5j, 0.0]])
+        with pytest.raises(ExponentOverflowError) as info:
+            constant_h_propagator(h, 1000.0)
+        assert info.value.exponent == pytest.approx(2500.0)
 
     def test_small_angle_limit(self):
         h = np.array([[1e-9, 1e-9], [1e-9, -1e-9]], dtype=complex)

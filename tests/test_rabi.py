@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from exptwolevel.analytic import propagator
-from exptwolevel.errors import ConfigError, DegeneracyError, DomainError
+from exptwolevel.errors import ConfigError, DegeneracyError, DomainError, ExponentOverflowError
 from exptwolevel.model import AxisSpec, ModelParams, coupling, detuning
 from exptwolevel.oracle import constant_h_propagator
 from exptwolevel.rabi import (
@@ -52,6 +52,12 @@ class TestClosedForm:
         with pytest.raises(DegeneracyError):
             rabi_survival_closed_form(RabiParams(0.0, 0.0, 1.0))
 
+    def test_overflow_is_typed(self):
+        # sin^2 of the angle 2500i overflows: the error names the exponent 5000
+        with pytest.raises(ExponentOverflowError) as info:
+            rabi_survival_closed_form(RabiParams(0.0, 5.0, 1000.0))
+        assert info.value.exponent == pytest.approx(5000.0)
+
     def test_modulus_matches_oracle_transfer(self):
         # the closed form's modulus is |U21|^2 of the constant-H propagator
         # at every Delta, not only in the Hermitian case
@@ -70,6 +76,34 @@ class TestOracle:
         rec = rabi_survival_oracle(RabiParams(0.8, 0.3, 0.0))
         assert rec.p22_mod2 == pytest.approx(1.0)
         assert rec.p12_mod2 == pytest.approx(0.0)
+
+    def test_overflow_is_typed(self):
+        # the amplitudes grow as e^2500, past the float range (no numpy warning)
+        with pytest.raises(ExponentOverflowError):
+            rabi_survival_oracle(RabiParams(0.0, 5.0, 1000.0))
+
+    def test_entries_are_the_propagators(self):
+        # the oracle's amplitudes are bitwise the constant-H propagator's U21 and
+        # U11, on both sides of its small-angle branch (|w| < 1e-6), and both
+        # match scipy's expm to 1e-13 of the entries' scale
+        from scipy.linalg import expm
+
+        def bits(c):
+            return float(c.real).hex(), float(c.imag).hex()
+
+        rng = np.random.default_rng(7)
+        ts = np.concatenate([rng.uniform(0.0, 10.0, 40), rng.uniform(0.0, 1e-7, 10)])
+        for t in ts:
+            eps, D = rng.uniform(-2.0, 2.0, size=2)
+            r = RabiParams(float(eps), float(D), float(t))
+            h = np.array([[eps / 2, (eps + 1j * D) / 2], [(eps + 1j * D) / 2, -eps / 2]])
+            u = constant_h_propagator(h, r.t)
+            a = rabi_survival_oracle(r)
+            assert bits(a.c1) == bits(u[1, 0]) and bits(a.c2) == bits(u[0, 0])
+            ref = expm(-1j * h * r.t)
+            tol = 1e-13 * max(1.0, np.max(np.abs(ref)))  # entries grow as e^|Im w|
+            assert max(abs(a.c1 - ref[1, 0]), abs(a.c2 - ref[0, 0])) < tol
+            assert np.max(np.abs(u - ref)) < tol
 
     def test_delta_zero_analytic(self):
         # Hermitian case: survival = 1 - (1/2) sin^2(eps t / sqrt 2)

@@ -255,8 +255,9 @@ class TestMpmathReference:
     """M against mpmath's 1F1 at 50 digits: within 2^-52 relative on the
     series route (|z| <= TAYLOR_RADIUS), which only a correctly rounded sum
     meets, within ACCURACY_TARGET beyond it, or a typed error.  log Gamma
-    against mpmath's loggamma, on its principal branch.  U near integer gamma
-    against mpmath's hyperu: within ACCURACY_TARGET or a typed error."""
+    against mpmath's loggamma, on its principal branch.  U over the box and
+    near integer gamma against mpmath's hyperu: within ACCURACY_TARGET or a
+    typed error."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -314,6 +315,35 @@ class TestMpmathReference:
             assert relerr(got, ref) < limit, (mu, g, z)
             checked += 1
         assert checked >= 0.9 * len(points) > 0
+
+    def test_tricomi_u(self):
+        # the connection's estimate counts each Gamma prefactor's error: on the
+        # box every returned U meets the target, the rest raise
+        mpmath = pytest.importorskip("mpmath")
+        points = _box_arguments()
+        checked = 0
+        for mu, g, z in points:
+            try:
+                got = tricomi_u(mu, g, z)
+            except AccuracyError:
+                continue
+            with mpmath.workdps(50):
+                ref = complex(mpmath.hyperu(mu, g, z))
+            assert relerr(got, ref) < specfun.ACCURACY_TARGET, (mu, g, z)
+            checked += 1
+        assert checked >= 0.9 * len(points)
+
+    @pytest.mark.parametrize(
+        "g",
+        # just outside INTEGER_BAND, Gamma(gamma - 1) or Gamma(1 - gamma) sits
+        # near a pole and the two terms cancel by ~1/|gamma - n|.  U was returned
+        # off by 1.2e-6, 3.6e-5 and 1.6e-9 (against 60-digit mpmath) while the
+        # connection's estimate passed; below RETRY_MIN there is no other route
+        [1e-5, 2e-6, 1 - 3e-6],
+    )
+    def test_tricomi_u_just_outside_integer_band(self, g):
+        with pytest.raises(AccuracyError):
+            tricomi_u(0.3 + 0.2j, g, 1.5 - 0.5j)
 
     def test_tricomi_u_near_integer_gamma(self):
         # every point is within INTEGER_BAND, where the connection's Gamma

@@ -7,6 +7,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,43 @@ class TestDelegation:
         ds = run_sweep(cfg)
         assert [r[-1] for r in ds.rows] == [0, 2, 0, 0, 2, 0]
         assert math.isnan(ds.rows[1][ds.columns.index("p_modulus")])
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["closed-form", "oracle"])
+    def test_rabi_overflow_row_is_typed(self, oracle):
+        # at t = 1000 the Rabi angle is 2500i: both routes raise
+        # ExponentOverflowError, and its row is flagged with code 3
+        base = ModelParams(A=0.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=5.0, t0=-1.0, t1=0.0)
+        ds = run_sweep(small_cfg(base=base, quantity="rabi", oracle=oracle,
+                                 axes=(AxisSpec("t", 1.0, 1000.0, 2),)))
+        assert [r[-1] for r in ds.rows] == [0, 3]
+
+    def test_alpha_axis_flags_alpha_zero_spectrum(self):
+        # alpha = 0 is no ModelParams: only its row is flagged (code 1), and each
+        # other row is the decomposition at its own alpha
+        ds = run_sweep(small_cfg(quantity="spectrum", axes=(AxisSpec("alpha", -1.0, 1.0, 5),)))
+        assert [r[-1] for r in ds.rows] == [0, 0, 1, 0, 0]
+        for row in ds.rows[:2] + ds.rows[3:]:
+            d = energy_decomposition(replace(BASE, alpha=row[0]), BASE.t1)
+            assert row[1:-1] == [d.e_plus.real, d.e_plus.imag, d.e_minus.real, d.e_minus.imag,
+                                 d.phi, d.z_mag]
+
+    def test_alpha_axis_flags_alpha_zero_oracle(self):
+        # the alpha = 0 row is flagged (code 1) and left out of the oracle batch;
+        # the other rows are the closed form at their alpha next to one batch of
+        # the four valid points
+        ds = run_sweep(small_cfg(oracle=True, axes=(AxisSpec("alpha", -1.0, 1.0, 5),)))
+        assert [r[-1] for r in ds.rows] == [0, 0, 1, 0, 0]
+        assert all(math.isnan(v) for v in ds.rows[2][1:-1])
+        rows = ds.rows[:2] + ds.rows[3:]
+        params = [replace(BASE, alpha=row[0]) for row in rows]
+        finals = sweep.integrate_tdse_batch(params, (0.0, 1.0), BASE.t0, BASE.t1,
+                                            sweep._ORACLE_CFG, t_eval=[BASE.t1])[0]
+        for row, q, (o1, o2) in zip(rows, params, finals):
+            a = populations(q, q.t0, q.t1)
+            o12, o22 = abs(complex(o1)) ** 2, abs(complex(o2)) ** 2
+            dev = max(abs(a.p12_mod2 - o12), abs(a.p22_mod2 - o22))
+            assert row[1:-1] == [a.p12_paper, a.p22_paper, a.p12_mod2, a.p22_mod2, a.norm,
+                                 o12, o22, dev]
 
 
 class TestDeterminism:
