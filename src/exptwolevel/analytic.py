@@ -5,22 +5,28 @@ variables to x = exp(alpha*t + beta), the lower amplitude satisfies
 
     x^2 psi'' + x*(a - b*x) psi' + c^2 psi = 0,
 
-which the substitution psi = x^mu z(b*x) maps onto Kummer's equation.  Both
-fundamental pairs are assembled here from the confluent hypergeometric
-functions in `specfun`:
+which the substitution psi = x^mu z(b*x) maps onto Kummer's equation for
+either root mu of mu^2 - (1 - a) mu + c^2 = 0.  Each root gives one
+fundamental column, built from Kummer's function M of `specfun` alone:
 
-    lower component:  u1 = x^mu M(mu, gamma, b x),     v1 = x^mu U(mu, gamma, b x)
-    upper component:  u2 = (i mu / c) x^mu [M + (b x / gamma) M(mu+1, gamma+1, b x)]
-                      v2 = (i mu / c) x^mu [U - b x   U(mu+1, gamma+1, b x)]
+    lower component:  x^mu M(mu, 2 mu + a, b x)
+    upper component:  (i mu / c) x^mu M(mu + 1, 2 mu + a, b x)
 
-The upper rows are (i/c) x d/dx of the lower rows, which is exactly the
-first-order system's constraint, so each column is a genuine solution of the
-coupled equations (up to the common gauge factor).  The propagator is formed
-as a Wronskian ratio: the numerator matrix at time t against the closed-form
-determinant at time t0, which is stable where direct 2x2 inversion of a
-nearly degenerate basis would not be.  A basis that lost its accuracy to
-cancellation shows in its numeric determinant at t0, which then strays from
-the closed form; past BASIS_RESIDUAL_LIMIT the propagator raises.
+Column 1 is taken at mu1, column 2 at mu2 = mu1 - gamma + 1; that is the pair
+{M(mu, gamma, z), z^(1-gamma) M(mu-gamma+1, 2-gamma, z)} of DLMF 13.2(v), up to
+a constant factor.  The upper entry is (i/c) x d/dx of the lower one, since
+(z d/dz + mu) M(mu, g, z) = mu M(mu+1, g, z) (DLMF 13.3(ii)); that is exactly
+the first-order system's constraint, so each column is a genuine solution of
+the coupled equations (up to the common gauge factor).  The pair degenerates
+where gamma is an integer: a non-positive gamma or 2 - gamma is a pole of M,
+and `kummer_m` raises `PoleError` there.
+
+The propagator is formed as a Wronskian ratio: the numerator matrix at time t
+against the closed-form determinant at time t0, which is stable where direct
+2x2 inversion of a nearly degenerate basis would not be.  A basis that lost
+its accuracy to cancellation shows in its numeric determinant at t0, which
+then strays from the closed form; past BASIS_RESIDUAL_LIMIT the propagator
+raises.
 
 `AmplitudePair` is the one record of a pair of amplitudes, from the closed
 form or an oracle; the populations the figures plot are its properties.
@@ -34,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DegeneracyError, DomainError, PoleError
+from .errors import AccuracyError, DegeneracyError, DomainError
 from .model import DerivedParams, ModelParams, derived_params, omega_integral, x_of_t
-from .specfun import _nonpositive_int, _tricomi_u, kummer_m, ln_gamma_complex
+from .specfun import kummer_m
 
 # largest |numeric/closed-form basis determinant - 1| a propagator is returned at
 BASIS_RESIDUAL_LIMIT = 1e-8
@@ -81,8 +87,8 @@ class AmplitudePair:
 class BasisSolutions:
     """Values of the two fundamental solution columns at one point x.
 
-    Column 1 is (u2, u1) (regular/Kummer branch), column 2 is (v2, v1)
-    (Tricomi branch); the first entry of each is the upper component.
+    Column 1 is (u2, u1), the Kummer column at mu1; column 2 is (v2, v1), the
+    Kummer column at mu2.  The first entry of each is the upper component.
     """
 
     u1: complex
@@ -115,20 +121,17 @@ def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
     _require_positive(x)
     if d.c == 0:
         raise DegeneracyError("zero coupling: the system is diagonal, no basis needed")
-    mu, g, z = d.mu1, d.gamma, d.b * x
+    u2, u1 = _kummer_column(d, d.mu1, x)
+    v2, v1 = _kummer_column(d, d.mu2, x)
+    return BasisSolutions(u1=u1, v1=v1, u2=u2, v2=v2)
+
+
+def _kummer_column(d: DerivedParams, mu: complex, x: float) -> tuple:
+    """(upper, lower) entries of the column at the exponent mu, at x."""
+    g, z = 2.0 * mu + d.a, d.b * x
     xpow = cmath.exp(mu * math.log(x))
-    # each U's connection formula takes the M already summed at its point
-    m0 = kummer_m(mu, g, z)
-    u0 = _tricomi_u(mu, g, z, m0)
-    m1 = kummer_m(mu + 1, g + 1, z)
-    u1p = _tricomi_u(mu + 1, g + 1, z, m1)
-    pref = 1j * mu / d.c
-    return BasisSolutions(
-        u1=xpow * m0,
-        v1=xpow * u0,
-        u2=pref * xpow * (m0 + (z / g) * m1),
-        v2=pref * xpow * (u0 - z * u1p),
-    )
+    lower = xpow * kummer_m(mu, g, z)
+    return (1j * mu / d.c) * xpow * kummer_m(mu + 1, g, z), lower
 
 
 def _require_positive(x: float) -> None:
@@ -139,26 +142,14 @@ def _require_positive(x: float) -> None:
 def transition_parameter_omega12(d: DerivedParams, x: float) -> complex:
     """Closed form of the basis determinant u2*v1 - v2*u1 at the point x.
 
-    Equal to (i/c) * Gamma(gamma)/Gamma(mu) * x^(2 mu) * (b x)^(1-gamma)
-    * exp(b x); follows from the Wronskian of the Kummer/Tricomi pair.
+    Equal to (i/c) * (mu1 - mu2) * x^(1-a) * exp(b x), from the Wronskian
+    (1-gamma) z^-gamma e^z of M(mu, gamma, z) and z^(1-gamma) M(mu2, 2-gamma, z)
+    (DLMF 13.2.34); no Gamma factor enters.
     """
     _require_positive(x)
     if d.c == 0:
         raise DomainError("zero coupling: determinant formula undefined")
-    if _nonpositive_int(d.mu1):
-        raise PoleError(
-            f"mu = {d.mu1} is a non-positive integer: basis degenerates",
-            location=d.mu1,
-        )
-    z = d.b * x
-    log_det = (
-        ln_gamma_complex(d.gamma)
-        - ln_gamma_complex(d.mu1)
-        + 2.0 * d.mu1 * math.log(x)
-        + (1.0 - d.gamma) * cmath.log(z)
-        + z
-    )
-    return (1j / d.c) * cmath.exp(log_det)
+    return (1j / d.c) * (d.mu1 - d.mu2) * cmath.exp((1.0 - d.a) * math.log(x) + d.b * x)
 
 
 def amplitudes(p: ModelParams, init: AmplitudePair, t: float) -> AmplitudePair:

@@ -54,9 +54,11 @@ FIGURE_SETS = {
 # recorded under Python 3.11.7 and numpy 2.4.6; the package imports no scipy.
 # Other versions may round the last bits differently.
 FIGURE_ROW_DIGESTS = {
-    2: "3ab698079ec4be34a07d32ffe856ed522f8b0b5e70b7ba0a829bc36bea711e86",
-    3: "4679f996425940c0672b4c778f06a1050eb7aee987df80f2e717172135e309a9",
-    4: "c6ef8885b6463279adbaa60c4ede472254a372d367fbbf6382a3c1fca66fe5b1",
+    # the basis of two Kummer columns, not {M, U}: columns moved by <= 3.4e-12
+    # (figure 2), 3.7e-14 (3) and 2.5e-12 (4), toward a 40-digit mpmath reference
+    2: "810883a530f9f37f5f4c05d117bd658b55816b71e66cc02f8b222b61d8d00458",
+    3: "85092b21acfb930b7a5dd27d76697cbcf340daa977571925de6abed0de98908d",
+    4: "43ec0f586124f164f0f392ef8b5acacb3bd32d3c66cda7324a9f4c0d1223bbf5",
     5: "b7d7030538ca6cd5f01910400c1e894029034a77c6c199e2b4e4d75fac22ecdb",
     6: "b7e26590ce0e8ac993968ce0fe54c994cb6627ac9e77bc1192ef818770140e4d",
     # the constant-H oracle in cmath, not numpy: p_mod2_oracle moved on 954

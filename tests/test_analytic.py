@@ -3,12 +3,10 @@ independence, unitarity in the Hermitian sub-case, and oracle agreement."""
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import exptwolevel.analytic as analytic
 from exptwolevel.analytic import (
     AmplitudePair,
     amplitudes,
@@ -24,8 +22,7 @@ from exptwolevel.errors import (
     ExponentOverflowError,
     PoleError,
 )
-from exptwolevel.model import DerivedParams, ModelParams, derived_params, x_of_t
-from exptwolevel.specfun import tricomi_u
+from exptwolevel.model import ModelParams, derived_params, x_of_t
 from exptwolevel.oracle import IntegratorConfig, integrate_tdse_batch
 
 P = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
@@ -35,36 +32,15 @@ TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 class TestBasis:
     def test_lower_component_is_kummer_at_x_one(self):
-        # at x = 1 the power prefactor drops out: u1(1) = M(mu, gamma, b)
-        from exptwolevel.specfun import kummer_m, tricomi_u
+        # at x = 1 the power prefactor drops out: u1(1) = M(mu1, gamma, b) and
+        # v1(1) = M(mu2, 2 - gamma, b)
+        from exptwolevel.specfun import kummer_m
 
         q = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.5, t0=-1.0, t1=1.0)
         d = derived_params(q)
         b = basis_solutions(d, 1.0)
         assert b.u1 == kummer_m(d.mu1, d.gamma, d.b)
-        assert b.v1 == tricomi_u(d.mu1, d.gamma, d.b)
-
-    @pytest.mark.parametrize(
-        "mu, gamma, z",
-        [
-            (0.3 + 0.2j, 1.1 + 0.5j, 2.0 - 1.5j),  # |z| < RETRY_MIN: series only
-            (0.5, 1.2, 30.0),  # U's connection misses the target; its retry is kept
-            # beyond TAYLOR_RADIUS: M and U both retry their series route
-            (18.918392215047565 - 100.93670063591014j, 37.83678443009513 - 116.16399890917033j,
-             -47.920819464223165j),
-            (0.3 + 0.2j, 2.0, 30j),  # integer gamma: U takes the asymptotic route alone
-        ],
-        ids=["small-z", "retry-below-radius", "retry-above-radius", "integer-gamma"],
-    )
-    def test_shared_m_sums_bitwise(self, mu, gamma, z, monkeypatch):
-        # each U reuses the M summed at its own point; the basis must equal
-        # the one built from independent tricomi_u calls, bit for bit
-        d = DerivedParams(a=0j, b=z / 1.5, c=0.7 - 0.2j, mu1=mu, mu2=0j, gamma=gamma)
-        shared = basis_solutions(d, 1.5)
-        monkeypatch.setattr(analytic, "_tricomi_u", lambda mu, g, z, m: tricomi_u(mu, g, z))
-        unshared = basis_solutions(d, 1.5)
-        as_bytes = lambda b: np.array([b.u1, b.v1, b.u2, b.v2]).tobytes()
-        assert as_bytes(shared) == as_bytes(unshared)
+        assert b.v1 == kummer_m(d.mu2, 2 - d.gamma, d.b)
 
     def test_determinant_matches_closed_form(self):
         d = derived_params(P)
@@ -83,9 +59,13 @@ class TestBasis:
             transition_parameter_omega12(derived_params(q), 1.0)
 
     def test_integer_mu_rejected(self):
-        # Gamma(mu) in the determinant formula has a pole at mu = -1
+        # at epsilon = 0 and Delta = 2 alpha, mu1 = gamma = -1: column 1's
+        # M(mu1, gamma, .) has a pole; the determinant's closed form has none
+        d = derived_params(ModelParams(2.0, 1.0, 0.0, 0.0, 2.0, 0.0, 1.0))
+        assert (d.mu1, d.gamma) == (-1.0, -1.0)
         with pytest.raises(PoleError):
-            transition_parameter_omega12(replace(derived_params(P), mu1=-1.0), 1.0)
+            basis_solutions(d, 1.0)
+        assert cmath.isfinite(transition_parameter_omega12(d, 1.0))
 
 
 class TestPropagatorAlgebra:
@@ -158,6 +138,31 @@ class TestOracleAgreement:
         assert abs(a.c2 - o[1]) < 1e-9
 
 
+def flagged_rows(params: list) -> int:
+    """How many of params raise a typed error for U(1, 0); every other
+    propagator must match one batched oracle call to 1e-6."""
+    n = len(params)
+    # columns of U(1, 0): initial states (1, 0) and (0, 1) in one batch
+    init = np.array([(1.0, 0.0)] * n + [(0.0, 1.0)] * n, dtype=complex)
+    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+    ref = integrate_tdse_batch(params + params, init, 0.0, 1.0, cfg)
+    flagged = 0
+    for i, q in enumerate(params):
+        try:
+            u = propagator(q, 0.0, 1.0).as_array()
+        except (AccuracyError, DegeneracyError, DomainError, ExponentOverflowError):
+            flagged += 1
+            continue
+        dev = max(np.max(np.abs(u[:, 0] - ref[i])), np.max(np.abs(u[:, 1] - ref[n + i])))
+        assert dev < 1e-6, (q, dev)  # a NaN fails it too
+    return flagged
+
+
+def _latin(rng, n: int) -> np.ndarray:
+    """n draws in [0, 1), one in each of n equal strata, in random order."""
+    return (rng.permutation(n) + rng.uniform(size=n)) / n
+
+
 class TestRandomBox:
     """|alpha| log-uniform in [0.02, 5], A in [0.5, 3], epsilon and Delta in
     [-3, 3], beta keeping alpha t + beta in [-4, 2] on [0, 1]: each
@@ -176,20 +181,7 @@ class TestRandomBox:
             ModelParams(A=a, alpha=al, beta=b, epsilon=e, Delta=d, t0=0.0, t1=1.0)
             for a, al, b, e, d in zip(amp, alpha, beta, eps, delta)
         ]
-        # columns of U(1, 0): initial states (1, 0) and (0, 1) in one batch
-        init = np.array([(1.0, 0.0)] * n + [(0.0, 1.0)] * n, dtype=complex)
-        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-        ref = integrate_tdse_batch(params + params, init, 0.0, 1.0, cfg)
-        raised = 0
-        for i, q in enumerate(params):
-            try:
-                u = propagator(q, 0.0, 1.0).as_array()
-            except (AccuracyError, DegeneracyError, DomainError, ExponentOverflowError):
-                raised += 1
-                continue
-            dev = max(np.max(np.abs(u[:, 0] - ref[i])), np.max(np.abs(u[:, 1] - ref[n + i])))
-            assert dev < 1e-6, (q, dev)
-        assert raised < n // 2
+        assert flagged_rows(params) < n // 2
 
     def test_never_silently_wrong(self):
         self.check_box(1, 1.0)
@@ -197,6 +189,47 @@ class TestRandomBox:
     def test_never_silently_wrong_negative_alpha(self):
         # a decaying exponential: beta in [-4 + |alpha|, 2]
         self.check_box(2, -1.0)
+
+    def test_latin_hypercube_box_mostly_unflagged(self):
+        # 400 points, one per stratum on each axis: at most a tenth flagged
+        rng = np.random.default_rng(0)
+        n = 400
+        alpha = np.exp(math.log(0.02) + math.log(5.0 / 0.02) * _latin(rng, n))
+        amp = 0.5 + 2.5 * _latin(rng, n)
+        eps, delta = -3.0 + 6.0 * _latin(rng, n), -3.0 + 6.0 * _latin(rng, n)
+        beta = -4.0 + (6.0 - alpha) * _latin(rng, n)
+        params = [
+            ModelParams(A=a, alpha=al, beta=b, epsilon=e, Delta=d, t0=0.0, t1=1.0)
+            for a, al, b, e, d in zip(amp, alpha, beta, eps, delta)
+        ]
+        assert flagged_rows(params) <= n // 10
+
+
+class TestDegeneratePoints:
+    """At epsilon = 0, gamma = 1 - |Delta / alpha|: the pair of Kummer columns
+    degenerates at |Delta| = n |alpha|, where M has a pole."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_integer_gamma_raises_pole_error(self, n):
+        with pytest.raises(PoleError):
+            propagator(ModelParams(2.0, 1.0, 0.0, 0.0, float(n), 0.0, 1.0), 0.0, 1.0)
+
+    def test_next_to_the_pole_matches_oracle(self):
+        q = ModelParams(2.0, 1.0, 0.0, 0.0, 1.0 + 1e-6, 0.0, 1.0)
+        assert flagged_rows([q]) == 0
+
+    def test_no_bare_error_or_unflagged_nan(self):
+        # around each pole, on either side and for either sign of Delta and
+        # alpha: a typed error, or a propagator that matches the oracle
+        params = [
+            ModelParams(2.0, alpha, 0.0 if alpha > 0 else 1.0, 0.0, sign * n * abs(alpha) * (1 + h),
+                        0.0, 1.0)
+            for alpha in (1.0, -0.3)
+            for n in (1, 2, 3)
+            for h in (0.0, 1e-14, -1e-12, 1e-10, -1e-8, 1e-6)
+            for sign in (1.0, -1.0)
+        ]
+        flagged_rows(params)
 
 
 class TestPopulations:

@@ -34,8 +34,9 @@ from exptwolevel.sweep import (
 )
 
 BASE = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.5, t0=0.0, t1=5.0)
-# the basis determinant at t0 misses its closed form by a residual of ~2e6
-BAD_START = ModelParams(2.698, 0.191, -0.324, 1.92, 1.783, 0.0, 1.0)
+# gamma = -1e-10 sits next to M's pole: the basis determinant at t0 misses its
+# closed form by a residual of ~9e-8
+BAD_START = ModelParams(2.0, 1.0, 0.0, 0.0, 1.0 + 1e-10, 0.0, 1.0)
 
 
 def small_cfg(**kw):
@@ -213,8 +214,8 @@ class TestDelegation:
         "base, error, code",
         # zero coupling: the detuning integral overflows and exp(i * inf) is NaN
         [(ModelParams(1e300, 1e-3, 600.0, 0.0, 0.0, 0.0, 1.0), ExponentOverflowError, 3),
-         # b x0 ~ 1e-300 underflows the determinant's (b x0)^(1 - gamma) to zero
-         (ModelParams(1e-300, 1.0, 0.0, 0.0, 2.5, 0.0, 1.0), DegeneracyError, 2)],
+         # (Delta / alpha)^2 underflows: mu1 = mu2, and the determinant vanishes
+         (ModelParams(2.0, 1.0, 0.0, 0.0, 1e-200, 0.0, 1.0), DegeneracyError, 2)],
         ids=["gauge-phase-overflow", "vanishing-determinant"],
     )
     def test_propagator_error_flags_its_rows(self, base, error, code):
@@ -259,7 +260,7 @@ class TestDelegation:
         basis = analytic.basis_solutions
 
         def fails_past_one(d, x):
-            if x > 1.0:  # t > 1.7 at BAD_START
+            if x > 5.0:  # t > 1.61 at BAD_START
                 raise DomainError("basis at t fails")
             return basis(d, x)
 
