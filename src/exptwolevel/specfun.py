@@ -1,26 +1,27 @@
 """Complex-argument confluent hypergeometric functions M and U.
 
-One route rule serves both functions (thresholds are the constants below):
+M's rule (thresholds are the constants below):
 
-* ``|z| <= TAYLOR_RADIUS``: the series route.  M is the Taylor series
-  (DLMF 13.2.2) summed in complex fixed point on Python ints with
-  TAYLOR_BITS fraction bits and rounded to ``complex`` once, estimate 0:
-  its relative error is ~e^{|z|} 2^-TAYLOR_BITS, so it absorbs the
-  ~e^{|z|} cancellation of large |z| and stays below double rounding up
-  to |z| ~ 74, past RETRY_RADIUS.  A series whose terms leave the float
-  range or outlast MAX_TAYLOR_TERMS raises ``AccuracyError``.  U is the
-  two-M connection formula.
+* ``|z| <= TAYLOR_RADIUS``: the Taylor series (DLMF 13.2.2), summed exactly
+  in fixed point at a precision set by |z| (see ``_kummer_taylor``).
 * ``|z| > TAYLOR_RADIUS``: the asymptotic route, the large-|z| Poincare
-  series truncated at the smallest term.
-* If the chosen route misses ACCURACY_TARGET (a NaN estimate misses it
-  too) and RETRY_MIN <= |z| <= RETRY_RADIUS, the other route is tried and
-  the better estimate kept.  The Taylor sum's estimate is 0, so M retries
-  only above the radius.  A value that still misses the target raises
-  ``AccuracyError``.  A non-finite argument raises ``DomainError``.
+  series truncated at the smallest term, where its estimate meets
+  ACCURACY_TARGET; else (a NaN estimate misses too) the Taylor sum.
+* A Taylor sum whose estimate misses ACCURACY_TARGET, or whose terms leave
+  the float range, raises ``AccuracyError``; an exponential past
+  ``ExponentOverflowError.LIMIT`` in the asymptotic route raises that error.
 
-U has no series route for gamma within INTEGER_BAND of an integer (as complex
-distance), where the connection's Gamma poles cancel: the asymptotic route runs
-alone there at any |z|, under the same gate.
+U's rule:
+
+* ``|z| <= TAYLOR_RADIUS``: the series route, the two-M connection formula;
+  beyond it the asymptotic route.  U has no series route for gamma within
+  INTEGER_BAND of an integer (as complex distance), where the connection's
+  Gamma poles cancel: the asymptotic route runs alone there at any |z|.
+* If the chosen route misses ACCURACY_TARGET and RETRY_MIN <= |z| <=
+  RETRY_RADIUS, the other route is tried and the better estimate kept.  A
+  value that still misses the target raises ``AccuracyError``.
+
+A non-finite argument raises ``DomainError``.
 The principal branch is used throughout, with the cut of U along the
 negative real axis; points on the cut evaluate as the limit from above.
 
@@ -49,8 +50,6 @@ from .errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 TAYLOR_RADIUS = 35.0
 RETRY_MIN = 10.0
 RETRY_RADIUS = 50.0
-MAX_TAYLOR_TERMS = 700
-TAYLOR_BITS = 160
 MAX_ASYMPTOTIC_TERMS = 120
 INTEGER_BAND = 1e-6
 ACCURACY_TARGET = 1e-9
@@ -70,12 +69,8 @@ def _finite(*args) -> tuple:
     return args
 
 
-def _nonpositive_int(z) -> bool:
-    z = complex(z)
-    if abs(z.imag) > _INT_TOL:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= _INT_TOL
+def _nonpositive_int(z: complex) -> bool:
+    return abs(z.imag) <= _INT_TOL and (r := round(z.real)) <= 0 and abs(z.real - r) <= _INT_TOL
 
 
 def ln_gamma_complex(z) -> complex:
@@ -112,13 +107,7 @@ def _ln_gamma_stirling(z: complex) -> complex:
     return (z - 0.5) * cmath.log(z) - z + _LN_SQRT_2PI + series / z - shift
 
 
-def _rgamma(z) -> complex:
-    """1/Gamma(z) off the poles; each caller skips its term at a pole."""
-    return cmath.exp(-ln_gamma_complex(z))
-
-
-def _safe_exp(z) -> complex:
-    z = complex(z)
+def _safe_exp(z: complex) -> complex:
     if z.real > ExponentOverflowError.LIMIT:
         raise ExponentOverflowError(z)
     return cmath.exp(z)
@@ -128,18 +117,28 @@ def _safe_exp(z) -> complex:
 
 
 def _kummer_taylor(a, b, z):
-    """Sum_k (a)_k / (b)_k z^k / k! (DLMF 13.2.2) and its error estimate, 0.
+    """Sum_k (a)_k / (b)_k z^k / k! (DLMF 13.2.2) and its relative error estimate.
 
-    Each term is a pair of ints scaled by 2^TAYLOR_BITS and rounded down once
-    per step.  The sum stops at an exactly zero term (a terminating series)
-    or at |term| <= 2^-66 |sum|, both as |re| + |im|, and rounds once.
+    Each term is a pair of ints scaled by 2^bits and rounded down once per
+    step.  The sum cancels by up to ~e^|z| (log2 e = 1.443), and by at most
+    2^(1024 + 1074) if it returns (terms below the float range, a sum above
+    its least value), so bits = 120 + min(1.45|z| + 8 log2(1 + |a| + |b|), 2098)
+    leaves 120 bits spare.  The sum stops at an exactly zero term (a
+    terminating series) or at |term| <= 2^-66 |sum|, both as |re| + |im|, and
+    rounds once.  Its estimate n max|t_k| 2^-bits / |sum| is the rounding of n
+    steps carried up to the largest term, to first order for terms that rise
+    from t_0 = 1 and then fall.  Past |a| + 2|b| + 8|z| terms they at least
+    halve each step, so a sum not done bits + 1100 terms later, or whose terms
+    leave the float range, raises ``AccuracyError``.
     """
+    bits = 120 + int(min(1.45 * abs(z) + 8.0 * math.log2(1.0 + abs(a) + abs(b)), 2098.0))
+    budget = int(abs(a)) + 2 * int(abs(b)) + 8 * int(abs(z)) + bits + 1200
     (ar, ai, da), (br, bi, db), (zr, zi, dz) = _exact(a), _exact(b), _exact(z)
     # z (a + k) / (b + k) = z' (ar + k da + i ai) / (br + k db + i bi), z' = z db / da
     zr, zi, dz = zr * db, zi * db, dz * da
-    one = 1 << TAYLOR_BITS
-    tr, ti, sr, si = one, 0, one, 0
-    for k in range(MAX_TAYLOR_TERMS):
+    one = 1 << bits
+    tr, ti, sr, si, peak = one, 0, one, 0, one
+    for k in range(budget):
         # term *= z (a + k) conj(b + k) / (|b + k|^2 (k + 1))
         nr, dr = ar + k * da, br + k * db
         fr, fi = zr * nr - zi * ai, zr * ai + zi * nr
@@ -149,9 +148,12 @@ def _kummer_taylor(a, b, z):
         sr += tr
         si += ti
         mag, total = abs(tr) + abs(ti), abs(sr) + abs(si)
+        peak = mag if mag > peak else peak
         if mag << 66 <= total:
-            return complex(sr / one, si / one), 0.0  # int / int rounds correctly
-        if mag >> (TAYLOR_BITS + 1024):
+            # (k + 2) terms; 1.0 once max|t_k| 2^-bits reaches |sum|, where no digit is sure
+            err = (k + 2) * peak / (total << bits) if peak >> bits < total else 1.0
+            return complex(sr / one, si / one), err  # int / int rounds correctly
+        if mag >> (bits + 1024):
             break  # past the float range: the fraction bits cannot resolve the sum
     raise AccuracyError(
         f"Kummer Taylor series did not converge by term {k + 1} for a={a}, b={b}, z={z}",
@@ -193,21 +195,21 @@ def _kummer_asymptotic(a, b, z):
     #     + G(b)/G(a) e^{s(b-a) pi i} e^z U(b-a, b, e^{s pi i} z)
     # with s = -1 for Im z > 0 and s = +1 otherwise; e^{s pi i} z is then the
     # principal -z.  Each U is evaluated by its own asymptotic series, so the
-    # truncation error is relative to that term alone.
+    # truncation error is relative to that term alone; a term at a pole of
+    # its 1/Gamma factor is 0.
     s = -1.0 if z.imag > 0 else 1.0
-    t1 = 0.0 + 0.0j
-    e1 = 0.0
+    t1, e1 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(b - a):
         u1, e1 = _tricomi_asymptotic_raw(a, b, z)
-        t1 = _rgamma(b - a) * cmath.exp(-s * a * cmath.pi * 1j) * u1
-    t2 = 0.0 + 0.0j
-    e2 = 0.0
+        t1 = _safe_exp(-ln_gamma_complex(b - a)) * _safe_exp(-s * a * cmath.pi * 1j) * u1
+    t2, e2 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(a):
         u2, e2 = _tricomi_asymptotic_raw(b - a, b, -z)
-        t2 = _rgamma(a) * cmath.exp(s * (b - a) * cmath.pi * 1j) * _safe_exp(z) * u2
+        t2 = (_safe_exp(-ln_gamma_complex(a)) * _safe_exp(s * (b - a) * cmath.pi * 1j)
+              * _safe_exp(z) * u2)
     total = t1 + t2
     err = (abs(t1) * e1 + abs(t2) * e2) / max(abs(total), 1e-300)
-    return cmath.exp(ln_gamma_complex(b)) * total, err
+    return _safe_exp(ln_gamma_complex(b)) * total, err
 
 
 def _tricomi_asymptotic_raw(a, b, z):
@@ -216,7 +218,7 @@ def _tricomi_asymptotic_raw(a, b, z):
 
 
 def _route(name, series, asymptotic, mu, gamma, z):
-    """The route rule.  Each route maps (mu, gamma, z) to (value, error
+    """U's route rule.  Each route maps (mu, gamma, z) to (value, error
     estimate); ``series`` is None where there is no series route."""
     r = abs(z)
     first, other = (series, asymptotic) if r <= TAYLOR_RADIUS and series else (asymptotic, series)
@@ -226,10 +228,14 @@ def _route(name, series, asymptotic, mu, gamma, z):
         alt, alt_err = other(mu, gamma, z)
         if alt_err < err or cmath.isnan(err):
             val, err = alt, alt_err
+    return _gate(name, mu, gamma, z, val, err)
+
+
+def _gate(name, mu, gamma, z, val, err):
+    """val, unless its estimate misses ACCURACY_TARGET (a NaN estimate misses it too)."""
     if not err <= ACCURACY_TARGET:
-        raise AccuracyError(
-            f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}", residual=err
-        )
+        raise AccuracyError(f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}",
+                            residual=err)
     return val
 
 
@@ -244,12 +250,16 @@ def kummer_m(mu, gamma, z) -> complex:
             f"M(mu, gamma, z) undefined: gamma = {gamma} is a non-positive integer",
             location=round(gamma.real),
         )
-    return _route("M", _kummer_taylor, _kummer_asymptotic, mu, gamma, z)
+    if abs(z) > TAYLOR_RADIUS:
+        val, err = _kummer_asymptotic(mu, gamma, z)
+        if err <= ACCURACY_TARGET:
+            return val
+    return _gate("M", mu, gamma, z, *_kummer_taylor(mu, gamma, z))
 
 
-def _tricomi_connection(mu, gamma, z, m=None):
+def _tricomi_connection(mu, gamma, z):
     """Two-M connection value of U plus a roundoff estimate from the
-    cancellation between the two terms; ``m``, if given, is M(mu, gamma, z).
+    cancellation between the two terms.
 
     Each term's relative error counts 3e-16 for M, the power and the
     products, and for each Gamma factor exp(+-log Gamma(w)) the rounding of
@@ -260,15 +270,14 @@ def _tricomi_connection(mu, gamma, z, m=None):
     if not _nonpositive_int(mu - gamma + 1.0):
         w, v = 1.0 - gamma, mu - gamma + 1.0
         lw, lv = ln_gamma_complex(w), ln_gamma_complex(v)
-        t1 = cmath.exp(lw) * cmath.exp(-lv) * (kummer_m(mu, gamma, z) if m is None else m)
+        t1 = _safe_exp(lw) * _safe_exp(-lv) * kummer_m(mu, gamma, z)
         e1 = _gamma_error(w, lw) + _gamma_error(v, lv)
     t2, e2 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(mu):
         w = gamma - 1.0
         lw, lm = ln_gamma_complex(w), ln_gamma_complex(mu)
-        t2 = cmath.exp(lw) * cmath.exp(-lm) * cmath.exp((1.0 - gamma) * cmath.log(z)) * kummer_m(
-            mu - gamma + 1.0, 2.0 - gamma, z
-        )
+        t2 = (_safe_exp(lw) * _safe_exp(-lm) * _safe_exp((1.0 - gamma) * cmath.log(z))
+              * kummer_m(mu - gamma + 1.0, 2.0 - gamma, z))
         e2 = _gamma_error(w, lw) + 2.0**-53 * abs(lm)  # mu is not rounded here
     out = t1 + t2
     err = (abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2)) / max(abs(out), 1e-300)
@@ -289,19 +298,13 @@ def tricomi_u(mu, gamma, z) -> complex:
     The series route is the two-M connection formula, which cancels by
     roughly e^{Re z} * e^{pi(|Im mu| + |Im gamma|)} and estimates that loss.
     """
-    return _tricomi_u(mu, gamma, z)
-
-
-def _tricomi_u(mu, gamma, z, m=None):
-    """`tricomi_u`, whose connection formula takes m = kummer_m(mu, gamma, z)
-    from a caller that already summed it."""
     mu, gamma, z = _finite(mu, gamma, z)
     if mu == 0:
         return 1.0 + 0.0j  # terminating series, any gamma and z
     if z == 0:
         raise DomainError("U(mu, gamma, 0) not evaluated (generically singular at z = 0)")
     int_gamma = abs(gamma - round(gamma.real)) < INTEGER_BAND
-    series = None if int_gamma else lambda *w: _tricomi_connection(*w, m)
+    series = None if int_gamma else _tricomi_connection
     return _route("U", series, _tricomi_asymptotic_raw, mu, gamma, z)
 
 
@@ -332,8 +335,8 @@ def wronskian_residual(mu, gamma, z) -> float:
         raise PoleError(
             f"Wronskian prefactor Gamma(mu) pole at mu = {mu}", location=round(mu.real)
         )
-    m, m1 = kummer_m(mu, gamma, z), kummer_m(mu + 1.0, gamma + 1.0, z)  # each U reuses its M
-    u, du = _tricomi_u(mu, gamma, z, m), -mu * _tricomi_u(mu + 1.0, gamma + 1.0, z, m1)
+    m, m1 = kummer_m(mu, gamma, z), kummer_m(mu + 1.0, gamma + 1.0, z)
+    u, du = tricomi_u(mu, gamma, z), -mu * tricomi_u(mu + 1.0, gamma + 1.0, z)
     dm = (mu / gamma) * m1
     # the products M*U' and U*M' exceed W by ~e^{pi |Im gamma|} on the
     # imaginary axis; form the difference exactly so the residual reflects

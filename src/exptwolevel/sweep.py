@@ -197,11 +197,9 @@ def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
 
 def _propagate(rec, starts) -> AmplitudePair:
     """Closed-form amplitudes at t of the state (0, 1) at t0 for the record
-    (ModelParams, t); on a t axis `starts` holds one propagator start, or the
-    error it raised, per ModelParams of the rows sharing it, else it is None."""
+    (ModelParams, t); `starts` holds one propagator start, or the error it
+    raised, per ModelParams, which the rows of a t axis share."""
     q, t = rec
-    if starts is None:
-        return _prepared_in_lower(_propagator_end(*_propagator_start(q, q.t0), t))
     if q not in starts:
         try:
             starts[q] = _propagator_start(q, q.t0)
@@ -300,8 +298,7 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     values = list(quantity.columns) + list(quantity.oracle_columns if cfg.oracle else ())
     pts = [dict(zip(names, v)) for v in itertools.product(*(ax.values() for ax in cfg.axes))]
     batch = _oracle_points(cfg, quantity, pts) if cfg.oracle and quantity.propagates else None
-    starts = {} if "t" in names else None  # see _propagate
-    point, n, rows = quantity.point, len(values), []
+    point, n, rows, starts = quantity.point, len(values), [], {}  # starts: see _propagate
     for i, pt in enumerate(pts):
         try:
             rec, final = batch[i] if batch else (_point_params(cfg, quantity, pt), None)

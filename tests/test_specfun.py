@@ -3,8 +3,10 @@ closed-form identities, the Wronskian property grid, the Taylor sum's
 stops, and M and U against mpmath where it is installed."""
 
 import cmath
+import contextlib
 import decimal
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 
 from exptwolevel import specfun
 from exptwolevel.errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
-from exptwolevel.model import AxisSpec
+from exptwolevel.analytic import propagator
+from exptwolevel.model import AxisSpec, ModelParams
 from exptwolevel.specfun import (
     kummer_m,
     kummer_m_derivative,
@@ -34,8 +37,8 @@ REFERENCE_M = [
     (1.0, 2.0, 1.0, math.e - 1.0),
     (0.3 + 0.2j, 1.1, 0.5 - 0.4j, 1.2457725722192147 - 0.0493776037293967j),
     (0.3 + 0.2j, 1.1 + 0.5j, 35j, 0.1862975010882763 + 0.0034339580697521j),
-    # |z| in the (35, 50] band where the asymptotic expansion gives up and
-    # kummer_m retries the Taylor sum; frozen from 60-digit evaluation
+    # |z| past TAYLOR_RADIUS where the asymptotic expansion misses the target
+    # and kummer_m falls back to the Taylor sum; frozen from 60-digit evaluation
     (
         18.918392215047565 - 100.93670063591014j,
         37.83678443009513 - 116.16399890917033j,
@@ -251,10 +254,30 @@ def _ln_gamma_box(n=3000, far=1000, seed=2025):
     return [complex(w) for w in (*near, *high, *edge)]
 
 
+def _random_box(seed):
+    """The benchmark's random-box points (perfbench/workloads.py, `RandomBox`):
+    4 Latin hypercube draws of 200, alpha log-uniform in [0.02, 5], A in
+    [0.5, 3], epsilon and Delta in [-3, 3], alpha t + beta in [-4, 2] on [0, 1]."""
+    for j in range(4):
+        rng, n = np.random.default_rng([seed, j]), 200
+
+        def latin():
+            return (rng.permutation(n) + rng.uniform(size=n)) / n
+
+        # each expression as the benchmark forms it, so the draws are equal bit for bit
+        lo, hi = math.log(0.02), math.log(5.0)
+        alpha = np.exp(lo + (hi - lo) * latin())
+        amp, eps, delta = 0.5 + 2.5 * latin(), -3.0 + 6.0 * latin(), -3.0 + 6.0 * latin()
+        beta = -4.0 + (2.0 - alpha - -4.0) * latin()
+        yield from (ModelParams(*map(float, w), 0.0, 1.0)
+                    for w in zip(amp, alpha, beta, eps, delta))
+
+
 class TestMpmathReference:
-    """M against mpmath's 1F1 at 50 digits: within 2^-52 relative on the
-    series route (|z| <= TAYLOR_RADIUS), which only a correctly rounded sum
-    meets, within ACCURACY_TARGET beyond it, or a typed error.  log Gamma
+    """M against mpmath's 1F1 at 50 digits: within 2^-52 relative wherever
+    the Taylor sum runs (|z| <= TAYLOR_RADIUS, and beyond it where the
+    asymptotic route misses), which only a correctly rounded sum meets,
+    within ACCURACY_TARGET on the asymptotic route, or a typed error.  log Gamma
     against mpmath's loggamma, on its principal branch.  U over the box and
     near integer gamma against mpmath's hyperu: within ACCURACY_TARGET or a
     typed error."""
@@ -290,14 +313,24 @@ class TestMpmathReference:
         "cfg",
         # None: the box; then the Taylor sums of sweeps: the t0 basis of each
         # figure (its t1 basis is past the radius), and the bases of t-scan
-        # with |z| <= TAYLOR_RADIUS
-        [None, *(_figure_config(n, oracle=False) for n in (2, 3, 4)), TSCAN],
-        ids=["box", "figure-2", "figure-3", "figure-4", "t-scan"],
+        # with |z| <= TAYLOR_RADIUS; then a seeded 120 of the M arguments past
+        # the radius on which the asymptotic route misses the target on the
+        # random-box seeds 1 and 2 (947), which the Taylor sum takes over
+        [None, *(_figure_config(n, oracle=False) for n in (2, 3, 4)), TSCAN, "random-box"],
+        ids=["box", "figure-2", "figure-3", "figure-4", "t-scan", "random-box"],
     )
     def test_kummer_m(self, cfg, taylor_sums):
         mpmath = pytest.importorskip("mpmath")
         if cfg is None:
             points = _box_arguments()
+        elif cfg == "random-box":
+            for q in (*_random_box(1), *_random_box(2)):
+                with contextlib.suppress(AccuracyError, DomainError, ExponentOverflowError):
+                    propagator(q, 0.0, 1.0)
+            misses = [w for w in taylor_sums if abs(w[2]) > specfun.TAYLOR_RADIUS]
+            assert len(misses) > 500
+            rng = np.random.default_rng(22)
+            points = [misses[i] for i in rng.choice(len(misses), 120, replace=False)]
         else:
             run_sweep(cfg)
             points = taylor_sums[:]  # the checks below sum again
@@ -309,7 +342,9 @@ class TestMpmathReference:
                 continue
             with mpmath.workdps(50):
                 ref = complex(mpmath.hyp1f1(mu, g, z))
-            limit = 2.0**-52 if abs(z) <= specfun.TAYLOR_RADIUS else specfun.ACCURACY_TARGET
+            # every point of a sweep is a Taylor sum, correctly rounded at any |z|
+            taylor = cfg is not None or abs(z) <= specfun.TAYLOR_RADIUS
+            limit = 2.0**-52 if taylor else specfun.ACCURACY_TARGET
             assert relerr(got, ref) < limit, (mu, g, z)
             checked += 1
         assert checked >= 0.9 * len(points) > 0
@@ -380,6 +415,34 @@ class TestDomain:
         with pytest.raises(ExponentOverflowError):
             kummer_m(0.5, 1.5, 800.0)
 
+    @pytest.mark.parametrize("call", [
+        # Gamma(b) of M's asymptotic route, e^860 and e^3885
+        lambda: kummer_m(0.5, 200.5, 40.0),
+        lambda: kummer_m(300.5, 700.2, 40j),
+        # the Gamma prefactors of U's connection formula
+        lambda: tricomi_u(-300.5 + 100j, 1.5, 20j),
+    ], ids=["m-real", "m-imaginary", "u-connection"])
+    def test_gamma_prefactor_overflow_is_typed(self, call):
+        with pytest.raises(ExponentOverflowError):
+            call()
+
+    @pytest.mark.parametrize("mu, g, z, expect", [
+        # e^|z| near or past the float range: the asymptotic route misses
+        # the target, and the Taylor sum, at 120 + 1.45|z| + ... bits, returns
+        # the correctly rounded value (60-digit evaluation) or stops where its
+        # terms leave the float range
+        (40 + 120j, 47 + 100j, 600j, 4.126282857432753e-09 - 3.488970899841206e-09j),
+        (0.5 + 200j, 1.5 - 100j, 1e4j, AccuracyError),
+    ], ids=["z600", "z1e4"])
+    def test_taylor_fallback_far_out_is_quick(self, mu, g, z, expect):
+        start = time.perf_counter()
+        if expect is AccuracyError:
+            with pytest.raises(AccuracyError, match="did not converge"):
+                kummer_m(mu, g, z)
+        else:
+            assert relerr(kummer_m(mu, g, z), expect) < 2.0**-52
+        assert time.perf_counter() - start < 1.0
+
     def test_tricomi_missing_target_raises(self):
         # both routes miss ACCURACY_TARGET here (true value
         # -0.01135884833280571 - 0.022769411168428195j, 60 digits): the
@@ -440,8 +503,6 @@ class TestDomain:
         assert specfun.TAYLOR_RADIUS == 35.0
         assert specfun.RETRY_MIN == 10.0
         assert specfun.RETRY_RADIUS == 50.0
-        assert specfun.MAX_TAYLOR_TERMS == 700
-        assert specfun.TAYLOR_BITS == 160
         assert specfun.MAX_ASYMPTOTIC_TERMS == 120
         assert specfun.INTEGER_BAND == 1e-6
         assert specfun.ACCURACY_TARGET == 1e-9
