@@ -1,25 +1,19 @@
 """Complex-argument confluent hypergeometric functions M and U.
 
-M's rule (thresholds are the constants below):
+One route rule serves M and U (thresholds are the constants below):
 
-* ``|z| <= TAYLOR_RADIUS``: the Taylor series (DLMF 13.2.2), summed exactly
-  in fixed point at a precision set by |z| (see ``_kummer_taylor``).
-* ``|z| > TAYLOR_RADIUS``: the asymptotic route, the large-|z| Poincare
-  series truncated at the smallest term, where its estimate meets
-  ACCURACY_TARGET; else (a NaN estimate misses too) the Taylor sum.
-* A Taylor sum whose estimate misses ACCURACY_TARGET, or whose terms leave
-  the float range, raises ``AccuracyError``; an exponential past
-  ``ExponentOverflowError.LIMIT`` in the asymptotic route raises that error.
-
-U's rule:
-
-* ``|z| <= TAYLOR_RADIUS``: the series route, the two-M connection formula;
-  beyond it the asymptotic route.  U has no series route for gamma within
-  INTEGER_BAND of an integer (as complex distance), where the connection's
-  Gamma poles cancel: the asymptotic route runs alone there at any |z|.
-* If the chosen route misses ACCURACY_TARGET and RETRY_MIN <= |z| <=
-  RETRY_RADIUS, the other route is tried and the better estimate kept.  A
-  value that still misses the target raises ``AccuracyError``.
+* ``|z| <= TAYLOR_RADIUS``: the series route where one exists; beyond it the
+  asymptotic route.  M's series route is the Taylor series (DLMF 13.2.2),
+  summed exactly in fixed point at a precision set by |z| (see
+  ``_kummer_taylor``); U's is the two-M connection formula, which U lacks for
+  gamma within INTEGER_BAND of an integer (as complex distance), where the
+  connection's Gamma poles cancel.  The asymptotic route is the large-|z|
+  Poincare series truncated at the smallest term.
+* If the first route misses ACCURACY_TARGET (a NaN estimate misses it too),
+  the other route is tried at any |z| and the better estimate kept.  A value
+  that still misses the target raises ``AccuracyError``, as does a Taylor sum
+  whose terms leave the float range; an exponential past
+  ``ExponentOverflowError.LIMIT`` raises that error.
 
 A non-finite argument raises ``DomainError``.
 The principal branch is used throughout, with the cut of U along the
@@ -48,8 +42,6 @@ from .errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 
 # regime thresholds of the M/U evaluation paths
 TAYLOR_RADIUS = 35.0
-RETRY_MIN = 10.0
-RETRY_RADIUS = 50.0
 MAX_ASYMPTOTIC_TERMS = 120
 INTEGER_BAND = 1e-6
 ACCURACY_TARGET = 1e-9
@@ -168,7 +160,7 @@ def _exact(w: complex) -> tuple:
     return re * (d // q), im * (d // s), d
 
 
-def _poincare_sum(p, q, zinv, max_terms):
+def _poincare_sum(p, q, zinv):
     """Sum_k (p)_k (q)_k / k! zinv^k, truncated at the smallest term.
 
     Returns (sum, relative error estimate).
@@ -176,7 +168,7 @@ def _poincare_sum(p, q, zinv, max_terms):
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     best = abs(term)
-    for k in range(max_terms):
+    for k in range(MAX_ASYMPTOTIC_TERMS):
         term = term * (p + k) * (q + k) * zinv / (k + 1)
         mag = abs(term)
         if mag >= best and k > 2:
@@ -213,30 +205,31 @@ def _kummer_asymptotic(a, b, z):
 
 
 def _tricomi_asymptotic_raw(a, b, z):
-    s, err = _poincare_sum(a, a - b + 1.0, -1.0 / z, MAX_ASYMPTOTIC_TERMS)
+    s, err = _poincare_sum(a, a - b + 1.0, -1.0 / z)
     return _safe_exp(-a * cmath.log(z)) * s, err
 
 
 def _route(name, series, asymptotic, mu, gamma, z):
-    """U's route rule.  Each route maps (mu, gamma, z) to (value, error
-    estimate); ``series`` is None where there is no series route."""
-    r = abs(z)
-    first, other = (series, asymptotic) if r <= TAYLOR_RADIUS and series else (asymptotic, series)
+    """(value, error estimate) by the route rule of M and U.  Each route maps
+    (mu, gamma, z) to the same; ``series`` is None where there is no series
+    route."""
+    first, other = ((series, asymptotic) if abs(z) <= TAYLOR_RADIUS and series
+                    else (asymptotic, series))
     val, err = first(mu, gamma, z)
-    # written so that a NaN estimate (an overflowed sum) fails the target too
-    if not err <= ACCURACY_TARGET and other is not None and RETRY_MIN <= r <= RETRY_RADIUS:
+    # written so that a NaN estimate (an overflowed sum) misses the target too
+    if not err <= ACCURACY_TARGET and other is not None:
         alt, alt_err = other(mu, gamma, z)
         if alt_err < err or cmath.isnan(err):
             val, err = alt, alt_err
-    return _gate(name, mu, gamma, z, val, err)
-
-
-def _gate(name, mu, gamma, z, val, err):
-    """val, unless its estimate misses ACCURACY_TARGET (a NaN estimate misses it too)."""
     if not err <= ACCURACY_TARGET:
         raise AccuracyError(f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}",
                             residual=err)
-    return val
+    return val, err
+
+
+def _kummer(mu, gamma, z):
+    """M's (value, error estimate), for arguments already checked."""
+    return _route("M", _kummer_taylor, _kummer_asymptotic, mu, gamma, z)
 
 
 # public operations ----------------------------------------------------------
@@ -250,35 +243,33 @@ def kummer_m(mu, gamma, z) -> complex:
             f"M(mu, gamma, z) undefined: gamma = {gamma} is a non-positive integer",
             location=round(gamma.real),
         )
-    if abs(z) > TAYLOR_RADIUS:
-        val, err = _kummer_asymptotic(mu, gamma, z)
-        if err <= ACCURACY_TARGET:
-            return val
-    return _gate("M", mu, gamma, z, *_kummer_taylor(mu, gamma, z))
+    return _kummer(mu, gamma, z)[0]
 
 
 def _tricomi_connection(mu, gamma, z):
     """Two-M connection value of U plus a roundoff estimate from the
     cancellation between the two terms.
 
-    Each term's relative error counts 3e-16 for M, the power and the
-    products, and for each Gamma factor exp(+-log Gamma(w)) the rounding of
-    log Gamma's value, 2^-53 |log Gamma(w)| (large near a pole), and of a
-    computed argument w, 2^-53 |w| amplified by |psi(w)| ~ 1 / dist(w, poles).
+    Each term's relative error counts M's own estimate, 3e-16 for the power
+    and the products, and for each Gamma factor exp(+-log Gamma(w)) the
+    rounding of log Gamma's value, 2^-53 |log Gamma(w)| (large near a pole),
+    and of a computed argument w, 2^-53 |w| amplified by |psi(w)| ~
+    1 / dist(w, poles).
     """
     t1, e1 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(mu - gamma + 1.0):
         w, v = 1.0 - gamma, mu - gamma + 1.0
         lw, lv = ln_gamma_complex(w), ln_gamma_complex(v)
-        t1 = _safe_exp(lw) * _safe_exp(-lv) * kummer_m(mu, gamma, z)
-        e1 = _gamma_error(w, lw) + _gamma_error(v, lv)
+        m, em = _kummer(mu, gamma, z)
+        t1 = _safe_exp(lw) * _safe_exp(-lv) * m
+        e1 = _gamma_error(w, lw) + _gamma_error(v, lv) + em
     t2, e2 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(mu):
         w = gamma - 1.0
         lw, lm = ln_gamma_complex(w), ln_gamma_complex(mu)
-        t2 = (_safe_exp(lw) * _safe_exp(-lm) * _safe_exp((1.0 - gamma) * cmath.log(z))
-              * kummer_m(mu - gamma + 1.0, 2.0 - gamma, z))
-        e2 = _gamma_error(w, lw) + 2.0**-53 * abs(lm)  # mu is not rounded here
+        m, em = _kummer(mu - gamma + 1.0, 2.0 - gamma, z)
+        t2 = _safe_exp(lw) * _safe_exp(-lm) * _safe_exp((1.0 - gamma) * cmath.log(z)) * m
+        e2 = _gamma_error(w, lw) + 2.0**-53 * abs(lm) + em  # mu is not rounded here
     out = t1 + t2
     err = (abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2)) / max(abs(out), 1e-300)
     return out, err
@@ -305,7 +296,7 @@ def tricomi_u(mu, gamma, z) -> complex:
         raise DomainError("U(mu, gamma, 0) not evaluated (generically singular at z = 0)")
     int_gamma = abs(gamma - round(gamma.real)) < INTEGER_BAND
     series = None if int_gamma else _tricomi_connection
-    return _route("U", series, _tricomi_asymptotic_raw, mu, gamma, z)
+    return _route("U", series, _tricomi_asymptotic_raw, mu, gamma, z)[0]
 
 
 def kummer_m_derivative(mu, gamma, z) -> complex:
@@ -335,9 +326,8 @@ def wronskian_residual(mu, gamma, z) -> float:
         raise PoleError(
             f"Wronskian prefactor Gamma(mu) pole at mu = {mu}", location=round(mu.real)
         )
-    m, m1 = kummer_m(mu, gamma, z), kummer_m(mu + 1.0, gamma + 1.0, z)
-    u, du = tricomi_u(mu, gamma, z), -mu * tricomi_u(mu + 1.0, gamma + 1.0, z)
-    dm = (mu / gamma) * m1
+    m, dm = kummer_m(mu, gamma, z), kummer_m_derivative(mu, gamma, z)
+    u, du = tricomi_u(mu, gamma, z), tricomi_u_derivative(mu, gamma, z)
     # the products M*U' and U*M' exceed W by ~e^{pi |Im gamma|} on the
     # imaginary axis; form the difference exactly so the residual reflects
     # the function values, not the combination's own cancellation

@@ -53,9 +53,23 @@ REFERENCE_M = [
 
 REFERENCE_U = [
     (0.3 + 0.2j, 1.1, 0.5 - 0.4j, 0.9950061231940401 + 0.1964986895848441j),
-    # |z| in [RETRY_MIN, TAYLOR_RADIUS]: the connection misses the target
-    # (estimate 3e-3) and the asymptotic retry is kept; 60-digit evaluation
+    # |z| <= TAYLOR_RADIUS: the connection misses the target (estimate 3e-3)
+    # and the asymptotic retry is kept; 60-digit evaluation
     (0.5, 1.2, 30.0, 0.18168924984404036),
+    # |z| = 51.8 and 86.0: the asymptotic route misses the target and the
+    # connection's value is kept; 60-digit evaluation
+    (
+        7.179657211154275 + 8.251654882838622j,
+        -5.757051849533972 - 0.6039822365034411j,
+        -37.36017153073608 + 35.81251919538523j,
+        -1.189856637480941e-05 + 4.1483245344201555e-06j,
+    ),
+    (
+        8.71616661254517 + 8.149757574548381j,
+        -5.8857577581814695 + 4.852902954427867j,
+        -56.595898009972956 + 64.71204505058856j,
+        -5.140894317134186e-10 + 5.075823412710521e-10j,
+    ),
 ]
 
 # gamma within INTEGER_BAND of an integer: U has no series route there, and the
@@ -85,6 +99,15 @@ class TestReferenceValues:
     def test_tricomi_asymptotic_retry_below_radius(self):
         mu, g, z, expect = REFERENCE_U[1]
         assert relerr(tricomi_u(mu, g, z), expect) < 1e-13
+
+    @pytest.mark.parametrize("mu,g,z,expect", REFERENCE_U[2:], ids=["z52", "z86"])
+    def test_tricomi_connection_retry_beyond_radius(self, mu, g, z, expect):
+        assert relerr(tricomi_u(mu, g, z), expect) < 1e-13
+
+    def test_kummer_exact_zero(self):
+        # M(-1, 2, z) = 1 - z/2: the Taylor sum is exactly 0, which no relative
+        # estimate can certify; the terminating asymptotic series returns it
+        assert kummer_m(-1.0, 2.0, 2.0) == 0.0
 
     def test_kummer_left_half_plane_correctly_rounded(self):
         # the fixed-point Taylor sum rounds once, so no reflection is needed
@@ -218,6 +241,16 @@ def _box_arguments(n=300, seed=2024):
     mu = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
     g = rng.uniform(0.2, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
     z = -1j * rng.uniform(0.1, 60.0, n)
+    return [(complex(a), complex(b), complex(c)) for a, b, c in zip(mu, g, z)]
+
+
+def _wide_box(n=300, seed=50):
+    """Seeded (mu, gamma, z): Re and Im of mu and gamma in [-10, 10], and z at
+    any angle with |z| log-uniform in [0.1, 500]."""
+    rng = np.random.default_rng(seed)
+    mu, g = (rng.uniform(-10.0, 10.0, n) + 1j * rng.uniform(-10.0, 10.0, n) for _ in "mg")
+    r = 10.0 ** rng.uniform(-1.0, math.log10(500.0), n)
+    z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     return [(complex(a), complex(b), complex(c)) for a, b, c in zip(mu, g, z)]
 
 
@@ -366,12 +399,34 @@ class TestMpmathReference:
             checked += 1
         assert checked >= 0.9 * len(points)
 
+    def test_tricomi_u_wide_box(self):
+        # either route may follow the other at any |z|: a returned U meets the
+        # target, the rest raise a typed error.  One known miss: at z = -66 + 26j,
+        # near the negative real axis, U's Poincare sum is off by 1.5e-9 with
+        # estimate 8.6e-10, and M's asymptotic route, which the connection
+        # would use, by the same
+        mpmath = pytest.importorskip("mpmath")
+        points = _wide_box()
+        checked, missed = 0, []
+        for mu, g, z in points:
+            try:
+                got = tricomi_u(mu, g, z)
+            except (AccuracyError, ExponentOverflowError, PoleError):
+                continue
+            with mpmath.workdps(50):
+                ref = complex(mpmath.hyperu(mu, g, z))
+            if not relerr(got, ref) < specfun.ACCURACY_TARGET:
+                missed.append(z)
+            checked += 1
+        assert missed == [-66.42380028552962 + 26.307661706829293j]
+        assert checked >= 0.8 * len(points)
+
     @pytest.mark.parametrize(
         "g",
         # just outside INTEGER_BAND, Gamma(gamma - 1) or Gamma(1 - gamma) sits
         # near a pole and the two terms cancel by ~1/|gamma - n|.  U was returned
         # off by 1.2e-6, 3.6e-5 and 1.6e-9 (against 60-digit mpmath) while the
-        # connection's estimate passed; below RETRY_MIN there is no other route
+        # connection's estimate passed
         [1e-5, 2e-6, 1 - 3e-6],
     )
     def test_tricomi_u_just_outside_integer_band(self, g):
@@ -455,13 +510,27 @@ class TestDomain:
             )
         assert info.value.residual > specfun.ACCURACY_TARGET
 
-    @pytest.mark.parametrize("z, error", [(40.0, OverflowError), (60.0, AccuracyError)],
-                             ids=["retry-band", "beyond-retry-band"])
-    def test_nan_estimate_fails_the_target(self, z, error):
-        # the Poincare sum overflows to a NaN estimate: inside the retry band the
-        # connection is retried (and overflows), beyond it the NaN is an
-        # AccuracyError, not a returned nan
-        with pytest.raises(error):
+    @pytest.mark.parametrize("mu, g, z", [
+        # true value 8.270543145768901e-08 + 2.269973716062769e-08j (60 digits);
+        # the connection's value is off by 2.5e-7, inside its estimate if each M
+        # counted its rounding alone
+        (4.689262464652028 - 1.364978224660975j, -1.3615061436044673 + 2.8723111154407945j,
+         -7.792171879160267 - 46.522901601526094j),
+        # true value -3.321004035328368e-05 - 0.0003438049192630863j; off by 1.5e-8
+        (3.832787511905627 + 5.090570250340409j, -8.807077458929598 + 9.678620647230748j,
+         -10.750309804631877 + 64.97718324287473j),
+    ], ids=["z47", "z66"])
+    def test_connection_counts_m_estimate(self, mu, g, z):
+        # the asymptotic route misses, and the connection's terms cancel enough
+        # that M's own estimate, from its asymptotic route, misses the target
+        with pytest.raises(AccuracyError):
+            tricomi_u(mu, g, z)
+
+    @pytest.mark.parametrize("z", [40.0, 60.0], ids=["z40", "z60"])
+    def test_nan_estimate_fails_the_target(self, z):
+        # the Poincare sum overflows to a NaN estimate, so the connection is
+        # tried, and it overflows: a typed error, not a returned nan
+        with pytest.raises(ExponentOverflowError):
             tricomi_u(1e200, 1.5, z)
 
     def test_nan_estimate_keeps_the_retry(self):
@@ -473,7 +542,7 @@ class TestDomain:
         def exact(*w):
             return 2.0 + 0.0j, 0.0
 
-        assert specfun._route("U", exact, overflowed, 1.0, 1.5, 40.0) == 2.0
+        assert specfun._route("U", exact, overflowed, 1.0, 1.5, 40.0) == (2.0, 0.0)
 
     def test_taylor_nonconvergence_reports_finite_residual(self):
         # the second term is ~1e599, past the float range: the sum stops there
@@ -501,8 +570,6 @@ class TestDomain:
 
     def test_switching_config_frozen(self):
         assert specfun.TAYLOR_RADIUS == 35.0
-        assert specfun.RETRY_MIN == 10.0
-        assert specfun.RETRY_RADIUS == 50.0
         assert specfun.MAX_ASYMPTOTIC_TERMS == 120
         assert specfun.INTEGER_BAND == 1e-6
         assert specfun.ACCURACY_TARGET == 1e-9
