@@ -10,7 +10,7 @@ from .errors import (
     ExponentOverflowError,
     PoleError,
 )
-from .model import AxisSpec, DerivedParams, ModelParams
+from .model import AxisSpec, DerivedParams, IntegratorConfig, ModelParams
 from .analytic import (
     AmplitudePair,
     BasisSolutions,
@@ -21,7 +21,6 @@ from .analytic import (
     propagator,
     transition_parameter_omega12,
 )
-from .oracle import IntegratorConfig, constant_h_propagator, integrate_tdse_batch
 from .spectrum import (
     EnergyDecomposition,
     eigenvalues_closed_form,
@@ -36,4 +35,15 @@ from .rabi import (
 )
 from .sweep import Dataset, SweepConfig, emit, run_sweep
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the DOP853 oracle, and with it numpy, loads on the first use of one of these
+_ORACLE_NAMES = ("constant_h_propagator", "integrate_tdse_batch")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE_NAMES)

@@ -38,8 +38,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AccuracyError, DegeneracyError, DomainError
 from .model import DerivedParams, ModelParams, derived_params, omega_integral, x_of_t
 from .specfun import kummer_m
@@ -105,7 +103,8 @@ class PropagatorMatrix:
     u22: complex
     t: float
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=complex)
 
     def apply(self, init: AmplitudePair) -> AmplitudePair:

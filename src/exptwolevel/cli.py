@@ -15,8 +15,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, DomainError
 from .model import AxisSpec, ModelParams
@@ -91,6 +89,7 @@ def _selftest() -> int:
             failures.append(name)
 
     import math
+    import numpy as np
 
     check("kummer M(1,2,1) = e - 1", kummer_m(1.0, 2.0, 1.0), math.e - 1.0, 1e-13)
     check(

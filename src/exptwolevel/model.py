@@ -16,6 +16,8 @@ Unit convention: all five constants are taken in mutually consistent
 frequency/time units; no internal conversion is performed.  Exponents
 |alpha*t + beta| > ExponentOverflowError.LIMIT are rejected rather than
 saturated so that silent infinities never reach the special functions.
+
+`IntegratorConfig`, the DOP853 oracle's tolerances, lives here: sweeps need no numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import DomainError, ExponentOverflowError
+
+METHOD = "DOP853"  # the pair oracle._dop853 steps with, as the sweep provenance names it
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,16 @@ class DerivedParams:
     mu1: complex
     mu2: complex
     gamma: complex
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+
+    def __post_init__(self):
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):  # NaN fails
+            raise DomainError("integrator tolerances must be positive and finite")
 
 
 def require_finite(params) -> None:

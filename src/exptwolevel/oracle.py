@@ -20,7 +20,7 @@ adaptive step (the per-figure oracle runs need hundreds of trajectories in
 seconds), (b) the driver counts accepted and rejected steps, and (c)
 results are bitwise deterministic for fixed inputs.  `integrate_tdse_batch`
 is the one entry point for the Schroedinger equation; a single trajectory
-is a batch of one.
+is a batch of one, and its tolerances are a `model.IntegratorConfig`.
 
 A batch state holds a few hundred numbers, so a step costs numpy calls, not
 arithmetic.  The 12 stages and the FSAL row live as rows of one (13, size)
@@ -37,14 +37,13 @@ moves any bit shows there.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ExponentOverflowError
-from .model import ModelParams, derived_params, omega_integral, t_of_x
+from .errors import AccuracyError, DomainError
+from .model import IntegratorConfig, ModelParams, derived_params, omega_integral, t_of_x
+from .rabi import _rotation
 
 # DOP853 tableau: 12 stages and the FSAL row, whose input (row 12 of _A) is the
 # 8th-order solution.  _ERR holds the 5th- and 3rd-order error weights E5 and E3
@@ -82,7 +81,6 @@ _E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
                 -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
 _ERR = np.array([_E5, _E3])
 _TINY = np.finfo(float).tiny
-METHOD = "DOP853"  # the pair _dop853 steps with, as the sweep provenance names it
 
 # the step never exceeds this fraction of the exponential's e-folding time 1/|alpha|
 STEP_CAP = 0.1
@@ -90,16 +88,6 @@ STEP_CAP = 0.1
 MAX_STEPS = 2_000_000
 # points of x at which transformed_ode_check compares the two routes
 TRANSFORMED_SAMPLES = 41
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):  # NaN fails
-            raise DomainError("integrator tolerances must be positive and finite")
 
 
 def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
@@ -247,25 +235,6 @@ def constant_h_propagator(H, dt: float) -> np.ndarray:
     cosw, sinc = _rotation(h00, h01, h10, dt)
     return np.array([[cosw - 1j * sinc * h00, -1j * sinc * h01],
                      [-1j * sinc * h10, cosw - 1j * sinc * h11]])
-
-
-def _rotation(h00: complex, h01: complex, h10: complex, dt: float, power: int = 1) -> tuple:
-    """(cos w, sin(w) / rho), w = rho dt, rho = sqrt(h00^2 + h01 h10), in Python complex
-    arithmetic (an infinite entry is NaN, no warning); power |Im w| must be in exp's range."""
-    rho = cmath.sqrt(h00 * h00 + h01 * h10)
-    w = rho * dt
-    if not cmath.isfinite(w):
-        raise DomainError(f"rotation angle {w} of exp(-i H dt) is not finite (dt = {dt})")
-    if power * abs(w.imag) > ExponentOverflowError.LIMIT:
-        raise ExponentOverflowError(power * abs(w.imag))
-    if abs(w) < 1e-6:
-        # sin(w)/rho -> dt * (1 - w^2/6 + w^4/120)
-        sinc = dt * (1.0 - w * w / 6.0 * (1.0 - w * w / 20.0))
-        cosw = 1.0 - w * w / 2.0 * (1.0 - w * w / 12.0)
-    else:
-        sinc = cmath.sin(w) / rho
-        cosw = cmath.cos(w)
-    return cosw, sinc
 
 
 def transformed_ode_check(p: ModelParams, x0: float, x1: float,

@@ -26,11 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegeneracyError, DomainError, ExponentOverflowError
-from .model import ModelParams, require_finite
-from .oracle import IntegratorConfig, _rotation, constant_h_propagator, integrate_tdse_batch
+from .model import IntegratorConfig, ModelParams, require_finite
 from .analytic import AmplitudePair
 
 
@@ -73,6 +70,25 @@ def rabi_survival_oracle(r: RabiParams) -> AmplitudePair:
     return AmplitudePair(-1j * sinc * d, cosw - 1j * sinc * om, r.t)
 
 
+def _rotation(h00: complex, h01: complex, h10: complex, dt: float, power: int = 1) -> tuple:
+    """(cos w, sin(w) / rho), w = rho dt, rho = sqrt(h00^2 + h01 h10), in Python complex
+    arithmetic (an infinite entry is NaN, no warning); power |Im w| must be in exp's range."""
+    rho = cmath.sqrt(h00 * h00 + h01 * h10)
+    w = rho * dt
+    if not cmath.isfinite(w):
+        raise DomainError(f"rotation angle {w} of exp(-i H dt) is not finite (dt = {dt})")
+    if power * abs(w.imag) > ExponentOverflowError.LIMIT:
+        raise ExponentOverflowError(power * abs(w.imag))
+    if abs(w) < 1e-6:
+        # sin(w)/rho -> dt * (1 - w^2/6 + w^4/120)
+        sinc = dt * (1.0 - w * w / 6.0 * (1.0 - w * w / 20.0))
+        cosw = 1.0 - w * w / 2.0 * (1.0 - w * w / 12.0)
+    else:
+        sinc = cmath.sin(w) / rho
+        cosw = cmath.cos(w)
+    return cosw, sinc
+
+
 # exponential magnitude below which the model counts as "in the Rabi limit"
 RABI_LIMIT_THRESHOLD = 1e-3
 # sample times over the window of rabi_limit_convergence
@@ -87,6 +103,9 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
     RABI_LIMIT_THRESHOLD * |epsilon| at t_probe; the measured deviation
     scales linearly with that magnitude for a fixed window.
     """
+    import numpy as np
+    from .oracle import constant_h_propagator, integrate_tdse_batch
+
     mag = abs(p.A) * math.exp(p.alpha * t_probe + p.beta)
     if p.epsilon == 0 or not mag < RABI_LIMIT_THRESHOLD * abs(p.epsilon):  # NaN t_probe too
         raise DomainError(

@@ -215,15 +215,22 @@ def _route(name, series, asymptotic, mu, gamma, z):
     route."""
     first, other = ((series, asymptotic) if abs(z) <= TAYLOR_RADIUS and series
                     else (asymptotic, series))
-    val, err = first(mu, gamma, z)
+    overflow = None
+    try:
+        val, err = first(mu, gamma, z)
+    except ExponentOverflowError as exc:  # a miss, raised if the other route misses too
+        val, err, overflow = math.nan, math.nan, exc
     # written so that a NaN estimate (an overflowed sum) misses the target too
     if not err <= ACCURACY_TARGET and other is not None:
-        alt, alt_err = other(mu, gamma, z)
+        try:
+            alt, alt_err = other(mu, gamma, z)
+        except (AccuracyError, ExponentOverflowError) as exc:
+            raise overflow or exc
         if alt_err < err or cmath.isnan(err):
             val, err = alt, alt_err
     if not err <= ACCURACY_TARGET:
-        raise AccuracyError(f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}",
-                            residual=err)
+        raise overflow or AccuracyError(
+            f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}", residual=err)
     return val, err
 
 

@@ -44,8 +44,7 @@ from .errors import (
     DomainError,
     ExponentOverflowError,
 )
-from .model import AxisSpec, ModelParams, json_number
-from .oracle import METHOD, IntegratorConfig, integrate_tdse_batch
+from .model import METHOD, AxisSpec, IntegratorConfig, ModelParams, json_number
 from .rabi import RabiParams, rabi_survival_closed_form, rabi_survival_oracle
 from .spectrum import energy_decomposition
 from .specfun import ACCURACY_TARGET
@@ -174,6 +173,7 @@ def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
     """
     if not batch:
         return
+    from .oracle import integrate_tdse_batch  # numpy loads with the oracle's first run
     times = sorted({t_end for _, _, t_end in batch})
     try:
         samples = integrate_tdse_batch([q for _, q, _ in batch], (0.0, 1.0), cfg.base.t0,

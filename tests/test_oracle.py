@@ -264,6 +264,44 @@ class TestTableau:
         assert out.returncode == 0, out.stdout + out.stderr
         assert "selftest: all checks passed" in out.stdout
 
+    def test_closed_form_loads_no_numpy(self):
+        # the closed form, the spectrum and both Rabi routes build no array:
+        # numpy, about 0.1 s and 13 MB of a process, loads with the oracle only
+        src = str(Path(exptwolevel.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import exptwolevel as xt; "
+                "p = xt.ModelParams(2.0, 1.0, 0.0, 0.2, 0.5, 0.0, 5.0); "
+                "r = xt.RabiParams(0.3, 0.2, 4.0); "
+                "xt.populations(p, 0.0, 5.0); xt.amplitudes(p, xt.AmplitudePair(0.0, 1.0, 0.0), 2.0); "
+                "xt.energy_decomposition(p, 1.0); "
+                "xt.rabi_survival_closed_form(r); xt.rabi_survival_oracle(r); "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'numpy' or m == 'exptwolevel.oracle'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert out.stdout.split() == ["[]"]
+
+    def test_oracle_names_stay_package_attributes(self):
+        assert exptwolevel.integrate_tdse_batch is oracle.integrate_tdse_batch
+        assert exptwolevel.constant_h_propagator is oracle.constant_h_propagator
+        assert exptwolevel.IntegratorConfig is oracle.IntegratorConfig
+        names = {}
+        exec("from exptwolevel import *", names)
+        assert names["integrate_tdse_batch"] is oracle.integrate_tdse_batch
+        assert names["constant_h_propagator"] is oracle.constant_h_propagator
+        with pytest.raises(AttributeError):
+            exptwolevel.no_such_name
+
+    def test_figures_run_without_numpy(self, tmp_path):
+        # figures 5-7 take no oracle batch: the CLI runs them with numpy blocked
+        src = str(Path(exptwolevel.__file__).resolve().parents[1])
+        for n in ("5", "7"):
+            code = (f"import sys; sys.modules['numpy'] = None; sys.path.insert(0, {src!r}); "
+                    "from exptwolevel.cli import main; "
+                    f"sys.exit(main(['figure', {n!r}, '--output', 'fig.csv']))")
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 timeout=120, cwd=tmp_path)
+            assert out.returncode == 0, out.stdout + out.stderr
+
 
 class TestLabFrameReference:
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ import pytest
 
 import exptwolevel.analytic as analytic
 import exptwolevel.cli as cli
+import exptwolevel.oracle as oracle
 from exptwolevel.analytic import AmplitudePair, populations
 from exptwolevel.cli import main as cli_main
 from exptwolevel.errors import (
@@ -141,8 +142,8 @@ class TestDelegation:
     )
     def test_time_axis_sweep(self, quantity, axes, monkeypatch):
         batches = []
-        batch = sweep.integrate_tdse_batch
-        monkeypatch.setattr(sweep, "integrate_tdse_batch",
+        batch = oracle.integrate_tdse_batch
+        monkeypatch.setattr(oracle, "integrate_tdse_batch",
                             lambda *a, **k: batches.append(1) or batch(*a, **k))
         ds = run_sweep(small_cfg(quantity=quantity, axes=axes, oracle=True))
         assert len(ds.rows) == 7 * (3 if len(axes) == 2 else 1)
@@ -199,7 +200,7 @@ class TestDelegation:
     def test_oracle_sweep_without_valid_rows(self, quantity, monkeypatch):
         # every t <= t0: each row is flagged (code 1) and the oracle never runs
         batches = []
-        monkeypatch.setattr(sweep, "integrate_tdse_batch", lambda *a, **k: batches.append(1))
+        monkeypatch.setattr(oracle, "integrate_tdse_batch", lambda *a, **k: batches.append(1))
         ds = run_sweep(small_cfg(quantity=quantity, axes=(AxisSpec("t", -1.0, 0.0, 3),),
                                  oracle=True))
         assert [r[-1] for r in ds.rows] == [1, 1, 1]
@@ -296,8 +297,8 @@ class TestDelegation:
         # figure 3 over beta in {0, 400} x Delta: the phase check rejects the 51
         # beta = 400 points, and the other 51 run as one batch, not one by one
         batches = []
-        batch = sweep.integrate_tdse_batch
-        monkeypatch.setattr(sweep, "integrate_tdse_batch",
+        batch = oracle.integrate_tdse_batch
+        monkeypatch.setattr(oracle, "integrate_tdse_batch",
                             lambda *a, **k: batches.append(1) or batch(*a, **k))
         base, (delta,), _ = sweep.FIGURES[3]
         delta = AxisSpec("Delta", delta.start, delta.stop, 51)
@@ -315,8 +316,8 @@ class TestDelegation:
         # row, but only a row whose own phase is unresolvable (t > 10.7) is
         # flagged, and the others run again over their own shorter window
         batches = []
-        batch = sweep.integrate_tdse_batch
-        monkeypatch.setattr(sweep, "integrate_tdse_batch",
+        batch = oracle.integrate_tdse_batch
+        monkeypatch.setattr(oracle, "integrate_tdse_batch",
                             lambda *a, **k: batches.append(1) or batch(*a, **k))
         alone = run_sweep(small_cfg(axes=(AxisSpec("t", 5.0, 5.0, 1),), oracle=True))
         for axis, codes in ((AxisSpec("t", 5.0, 12.0, 2), [0, 3]),
@@ -331,7 +332,7 @@ class TestDelegation:
         # an AccuracyError raised once stepping has started names no point, so
         # each point is rerun alone and only the one that fails again is flagged
         batches = []
-        batch = sweep.integrate_tdse_batch
+        batch = oracle.integrate_tdse_batch
 
         def fails_at_delta_one(params, *args, **kwargs):
             batches.append(len(params))
@@ -339,7 +340,7 @@ class TestDelegation:
                 raise AccuracyError("step size underflow")
             return batch(params, *args, **kwargs)
 
-        monkeypatch.setattr(sweep, "integrate_tdse_batch", fails_at_delta_one)
+        monkeypatch.setattr(oracle, "integrate_tdse_batch", fails_at_delta_one)
         ds = run_sweep(small_cfg(axes=(AxisSpec("Delta", -1.0, 1.0, 3),), oracle=True))
         assert [r[-1] for r in ds.rows] == [0, 0, 3]
         assert batches == [3, 1, 1, 1]
@@ -389,8 +390,8 @@ class TestDelegation:
         assert all(math.isnan(v) for v in ds.rows[2][1:-1])
         rows = ds.rows[:2] + ds.rows[3:]
         params = [replace(BASE, alpha=row[0]) for row in rows]
-        finals = sweep.integrate_tdse_batch(params, (0.0, 1.0), BASE.t0, BASE.t1,
-                                            sweep._ORACLE_CFG, t_eval=[BASE.t1])[0]
+        finals = oracle.integrate_tdse_batch(params, (0.0, 1.0), BASE.t0, BASE.t1,
+                                             sweep._ORACLE_CFG, t_eval=[BASE.t1])[0]
         for row, q, (o1, o2) in zip(rows, params, finals):
             a = populations(q, q.t0, q.t1)
             o12, o22 = abs(complex(o1)) ** 2, abs(complex(o2)) ** 2
