@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .errors import AccuracyError, DegeneracyError, DomainError
 from .model import DerivedParams, ModelParams, derived_params, omega_integral, x_of_t
-from .specfun import kummer_m
+from .specfun import _safe_exp, kummer_m
 
 # largest |numeric/closed-form basis determinant - 1| a propagator is returned at
 BASIS_RESIDUAL_LIMIT = 1e-8
@@ -128,7 +128,7 @@ def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
 def _kummer_column(d: DerivedParams, mu: complex, x: float) -> tuple:
     """(upper, lower) entries of the column at the exponent mu, at x."""
     g, z = 2.0 * mu + d.a, d.b * x
-    xpow = cmath.exp(mu * math.log(x))
+    xpow = _safe_exp(mu * math.log(x))
     lower = xpow * kummer_m(mu, g, z)
     return (1j * mu / d.c) * xpow * kummer_m(mu + 1, g, z), lower
 

@@ -27,10 +27,12 @@ arithmetic.  The 12 stages and the FSAL row live as rows of one (13, size)
 array, read as real numbers; each stage input is one dot of a tableau row
 with those rows, the 5th- and 3rd-order error estimates e5 and e3 are one
 dot together, and the step's error is the largest
-|h| e5^2 / sqrt(e5^2 + 0.01 e3^2) of any entry.  The phase factors of the
-coupling are formed at once at the 11 stage times a step adds: stage 0 is the
-last stage of the step before (FSAL), and stage 12 shares stage 11's time.
-Each stage's sum and input go to buffers made once per run.  The tests pin
+|h| e5^2 / sqrt(e5^2 + 0.01 e3^2) of any entry.  The coupling's phase factors
+are formed at once at the 11 stage times a step adds (stage 0 is the step
+before's stage 12, FSAL; stage 12 shares stage 11's time), once per row
+distinct in the bits of (A, alpha, beta, epsilon), as cos and sin of 2 phi,
+equal to exp(2i phi) bit for bit.  f(i, y, out) writes each stage into its
+row; stage sums and inputs go to buffers made once per run.  The tests pin
 step counts and sampled rows by digest, so a change to this arithmetic that
 moves any bit shows there.
 """
@@ -93,10 +95,10 @@ TRANSFORMED_SAMPLES = 41
 def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
     """Generic batched DOP853 driver.
 
-    ``rhs(ts)`` takes stage times and returns ``f`` with ``f(i, y)`` the
-    derivative at ``ts[i]``, so coefficients that depend on time alone are
-    formed once per step: ``rhs`` gets the start time once, then the times
-    of stages 1-11 of each step, and stage 12 is evaluated at ``ts[10]``.
+    ``rhs(ts)`` takes stage times and returns ``f(i, y, out)``, which writes
+    the derivative at ``ts[i]`` into ``out``; so coefficients of time alone
+    are formed once per step: ``rhs`` gets the start time once, then the
+    times of stages 1-11 of each step, and stage 12 is evaluated at ``ts[10]``.
     ``y0`` may have any shape; the error norm is the max over all entries.
     Steps are shortened to land exactly on ``t_eval`` points (and on t1), so
     sampling is exact rather than interpolated.  Supports t1 < t0.  Returns
@@ -122,7 +124,7 @@ def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
     # the stages as rows of real numbers, so every stage sum is one real dot: at
     # figure batch sizes a complex dot took 0.01-2 ms on a 2-core machine, this 5 us
     flat = k.reshape(13, -1).view(float)
-    k[0] = rhs(np.array([t]))(0, y)
+    rhs(np.array([t]))(0, y, k[0])
     # one stage's sum (as real numbers, then as y's increment) and input, reused
     acc = np.empty(flat.shape[1])
     dy, y8 = acc.view(complex).reshape(y.shape), np.empty_like(y)
@@ -144,7 +146,7 @@ def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
         for i in range(1, 13):  # row 12 of _A holds the 8th-order weights: the last input is y8
             np.matmul(_A[i], flat[:i], out=acc)
             np.add(y, np.multiply(h_try, dy, out=dy), out=y8)
-            k[i] = f(min(i, 11) - 1, y8)  # stage i's time is ts[i - 1], stage 12's ts[10]
+            f(min(i, 11) - 1, y8, k[i])  # stage i's time is ts[i - 1], stage 12's ts[10]
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y8))
         e5, e3 = np.abs((_ERR @ flat).view(complex)) / scale.reshape(-1)
         # the floor makes an entry with e5 = e3 = 0 (delta = 0) a 0, not 0/0; NaN stays NaN
@@ -192,9 +194,13 @@ def integrate_tdse_batch(
     """
     if not params:
         raise DomainError("the oracle batch holds no parameter points")
-    fields = [(q.A, q.alpha, q.beta, q.epsilon, q.Delta) for q in params]
-    A, alpha, beta, eps, Delta = np.array(fields).T
-    minus_i_delta = -0.5j * (eps + 1j * Delta)
+    fields = np.array([(q.A, q.alpha, q.beta, q.epsilon, q.Delta) for q in params], dtype=float)
+    minus_i_delta = -0.5j * (fields[:, 3] + 1j * fields[:, 4])
+    # phi is formed once per distinct (A, alpha, beta, epsilon) bytes, so 0.0 != -0.0
+    distinct = {}
+    inverse = np.array([distinct.setdefault(f.tobytes(), (len(distinct), f))[0]
+                        for f in fields[:, :4]])
+    A, alpha, beta, eps = np.array([f for _, f in distinct.values()]).T
     y0 = np.broadcast_to(np.asarray(init, dtype=complex), (len(params), 2)).copy()
     max_step = float(STEP_CAP / np.max(np.abs(alpha)))
     times = [t1] if t_eval is None else t_eval
@@ -204,19 +210,23 @@ def integrate_tdse_batch(
         grow = A * np.exp(alpha * t0 + beta) / alpha
 
         def two_phi(ts):
-            # 2 phi at each of ts, shape (len(ts), n_points); phi = integral of Omega from t0
+            # 2 phi at each of ts, shape (len(ts), n_distinct); phi = integral of Omega from t0
             s = np.asarray(ts, dtype=float)[:, None] - t0
             return grow * np.expm1(alpha * s) + eps * s
 
         def rhs(ts):
             # columns -i delta (e^{2i phi}, e^{-2i phi}) at each stage time; a' = coupling a[::-1]
-            w = np.exp(1j * two_phi(ts))
+            x = two_phi(ts) + 0.0  # -0.0 to +0.0: exp(1j * -0.0) is 1 + 0j, sin(-0.0) is -0.0
+            w = np.empty(x.shape, dtype=complex)
+            np.cos(x, out=w.real)
+            np.sin(x, out=w.imag)
+            w = w[:, inverse]
             coupling = np.empty(w.shape + (2,), dtype=complex)
             np.multiply(minus_i_delta, w, out=coupling[..., 0])
             np.multiply(minus_i_delta, np.conjugate(w, out=w), out=coupling[..., 1])
-            return lambda i, a: coupling[i] * a[:, ::-1]
+            return lambda i, a, out: np.multiply(coupling[i], a[:, ::-1], out=out)
 
-        ends = np.abs(two_phi([t0, t1]))
+        ends = np.abs(two_phi([t0, t1])[:, inverse])
         # resolved means |phi| 2^-52 <= rel_tol; an unresolved phase would end only
         # at MAX_STEPS, and a non-finite window is _dop853's DomainError
         bad = np.flatnonzero(~np.all(ends <= 2.0**53 * cfg.rel_tol, axis=0)).tolist()
@@ -225,7 +235,7 @@ def integrate_tdse_batch(
                                 f"is not resolved at rel_tol {cfg.rel_tol}", points=bad)
         samples, _, _ = _dop853(rhs, t0, t1, y0, cfg, max_step, times)
         # back to the lab frame: c1 = e^{-i phi} a1, c2 = e^{i phi} a2
-        samples *= np.exp(0.5j * two_phi(times)[..., None] * [-1.0, 1.0])
+        samples *= np.exp(0.5j * two_phi(times)[:, inverse, None] * [-1.0, 1.0])
     return samples[0] if t_eval is None else samples
 
 
@@ -251,16 +261,15 @@ def transformed_ode_check(p: ModelParams, x0: float, x1: float,
     d = derived_params(p)
     a, b, c = d.a, d.b, d.c
 
-    def f(x, u):
-        psi, dpsi = u[0], u[1]
-        return np.array(
-            [dpsi, -((a - b * x) / x) * dpsi - (c * c / (x * x)) * psi], dtype=complex
-        )
+    def f(x, u, out):
+        psi, dpsi = u
+        out[:] = dpsi, -((a - b * x) / x) * dpsi - (c * c / (x * x)) * psi
 
     # initial state C(t(x0)) = (0, 1): psi = 1, x psi' = -i c C1 = 0
     u0 = np.array([1.0, 0.0], dtype=complex)
     xs = np.linspace(x0, x1, TRANSFORMED_SAMPLES)
-    samp_x, _, _ = _dop853(lambda xi: lambda i, u: f(xi[i], u), x0, x1, u0, cfg, math.inf, xs)
+    samp_x, _, _ = _dop853(lambda xi: lambda i, u, out: f(xi[i], u, out),
+                           x0, x1, u0, cfg, math.inf, xs)
     ts = np.array([t_of_x(p, float(x)) for x in xs])
     t_init = float(ts[0])
     samp_t = integrate_tdse_batch([p], (0.0, 1.0), t_init, float(ts[-1]), cfg, t_eval=ts)
@@ -269,10 +278,7 @@ def transformed_ode_check(p: ModelParams, x0: float, x1: float,
         phase = np.exp(1j * omega_integral(p, t_init, float(tt)))
         psi, dpsi = samp_x[i]
         c2_from_x = psi * phase
-        if c != 0:
-            c1_from_x = (1j / c) * x * dpsi * phase
-        else:
-            c1_from_x = 0.0
+        c1_from_x = (1j / c) * x * dpsi * phase if c != 0 else 0.0
         c1_t, c2_t = samp_t[i, 0]
         dev = max(dev, abs(c1_from_x - c1_t), abs(c2_from_x - c2_t))
     return dev

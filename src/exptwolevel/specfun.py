@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 
@@ -122,33 +121,40 @@ def _kummer_taylor(a, b, z):
     from t_0 = 1 and then fall.  Past |a| + 2|b| + 8|z| terms they at least
     halve each step, so a sum not done bits + 1100 terms later, or whose terms
     leave the float range, raises ``AccuracyError``.
+
+    A step multiplies by z (a + k) conj(b + k) / (|b + k|^2 (k + 1)).  With z,
+    a and b each an integer over a power of two dz, da, db, that is an integer
+    over 2^s m, 2^s = dz da / db and m = |db (b + k)|^2 (k + 1).  As floor(floor(x
+    / 2^s) / m) = floor(x / (2^s m)), a step shifts right by s and floor-divides
+    by m, which is about half as long; a negative s scales z up once instead.
     """
     bits = 120 + int(min(1.45 * abs(z) + 8.0 * math.log2(1.0 + abs(a) + abs(b)), 2098.0))
     budget = int(abs(a)) + 2 * int(abs(b)) + 8 * int(abs(z)) + bits + 1200
-    (ar, ai, da), (br, bi, db), (zr, zi, dz) = _exact(a), _exact(b), _exact(z)
-    # z (a + k) / (b + k) = z' (ar + k da + i ai) / (br + k db + i bi), z' = z db / da
-    zr, zi, dz = zr * db, zi * db, dz * da
-    one = 1 << bits
+    (nr, ai, da), (dr, bi, db), (zr, zi, dz) = _exact(a), _exact(b), _exact(z)
+    s = (dz * da).bit_length() - db.bit_length()
+    zr, zi, s = (zr, zi, s) if s >= 0 else (zr << -s, zi << -s, 0)
+    zi_ai, zr_ai, bi2 = zi * ai, zr * ai, bi * bi
+    one, huge = 1 << bits, 1 << (bits + 1024)
     tr, ti, sr, si, peak = one, 0, one, 0, one
-    for k in range(budget):
-        # term *= z (a + k) conj(b + k) / (|b + k|^2 (k + 1))
-        nr, dr = ar + k * da, br + k * db
-        fr, fi = zr * nr - zi * ai, zr * ai + zi * nr
+    for k in range(1, budget + 1):
+        # term k: (nr + i ai) / da = a + k - 1 and (dr + i bi) / db = b + k - 1
+        fr, fi = zr * nr - zi_ai, zr_ai + zi * nr
         fr, fi = fr * dr + fi * bi, fi * dr - fr * bi
-        d = dz * (dr * dr + bi * bi) * (k + 1)
-        tr, ti = (tr * fr - ti * fi) // d, (tr * fi + ti * fr) // d
+        m = (dr * dr + bi2) * k
+        tr, ti = ((tr * fr - ti * fi) >> s) // m, ((tr * fi + ti * fr) >> s) // m
+        nr, dr = nr + da, dr + db
         sr += tr
         si += ti
         mag, total = abs(tr) + abs(ti), abs(sr) + abs(si)
         peak = mag if mag > peak else peak
         if mag << 66 <= total:
-            # (k + 2) terms; 1.0 once max|t_k| 2^-bits reaches |sum|, where no digit is sure
-            err = (k + 2) * peak / (total << bits) if peak >> bits < total else 1.0
+            # (k + 1) terms; 1.0 once max|t_k| 2^-bits reaches |sum|, where no digit is sure
+            err = (k + 1) * peak / (total << bits) if peak >> bits < total else 1.0
             return complex(sr / one, si / one), err  # int / int rounds correctly
-        if mag >> (bits + 1024):
+        if mag >= huge:
             break  # past the float range: the fraction bits cannot resolve the sum
     raise AccuracyError(
-        f"Kummer Taylor series did not converge by term {k + 1} for a={a}, b={b}, z={z}",
+        f"Kummer Taylor series did not converge by term {k} for a={a}, b={b}, z={z}",
         residual=mag / total if mag < total else 1.0,
     )
 
@@ -158,6 +164,11 @@ def _exact(w: complex) -> tuple:
     (re, q), (im, s) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
     d = max(q, s)
     return re * (d // q), im * (d // s), d
+
+
+def _relative(err: float, value: complex) -> float:
+    """err / |value|, with no floor to shrink it; at value 0, 0 for err 0, else inf."""
+    return err / abs(value) if value else (0.0 if err == 0 else math.inf)
 
 
 def _poincare_sum(p, q, zinv):
@@ -177,7 +188,7 @@ def _poincare_sum(p, q, zinv):
         best = mag
         if mag < 1e-17 * abs(total):
             break
-    return total, best / max(abs(total), 1e-300)
+    return total, _relative(best, total)
 
 
 def _kummer_asymptotic(a, b, z):
@@ -200,7 +211,7 @@ def _kummer_asymptotic(a, b, z):
         t2 = (_safe_exp(-ln_gamma_complex(a)) * _safe_exp(s * (b - a) * cmath.pi * 1j)
               * _safe_exp(z) * u2)
     total = t1 + t2
-    err = (abs(t1) * e1 + abs(t2) * e2) / max(abs(total), 1e-300)
+    err = _relative(abs(t1) * e1 + abs(t2) * e2, total)
     return _safe_exp(ln_gamma_complex(b)) * total, err
 
 
@@ -278,8 +289,7 @@ def _tricomi_connection(mu, gamma, z):
         t2 = _safe_exp(lw) * _safe_exp(-lm) * _safe_exp((1.0 - gamma) * cmath.log(z)) * m
         e2 = _gamma_error(w, lw) + 2.0**-53 * abs(lm) + em  # mu is not rounded here
     out = t1 + t2
-    err = (abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2)) / max(abs(out), 1e-300)
-    return out, err
+    return out, _relative(abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2), out)
 
 
 def _gamma_error(w: complex, ln_gamma: complex) -> float:
@@ -328,6 +338,7 @@ def wronskian_residual(mu, gamma, z) -> float:
     The minus sign is the convention this implementation's M and U satisfy
     (fixed empirically once; the bare identity is sometimes quoted unsigned).
     """
+    from fractions import Fraction  # here, off the closed form's import path
     mu, gamma, z = _finite(mu, gamma, z)
     if _nonpositive_int(mu):
         raise PoleError(

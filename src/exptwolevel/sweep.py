@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -319,6 +318,7 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
 
 def emit(ds: Dataset, fmt: str, path=None) -> None:
     """Serialize a dataset as CSV or JSON to a path or file object."""
+    import json  # here, so that a closed-form-only process never loads it
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
     if path is None or hasattr(path, "write"):  # the caller's stream stays open

@@ -22,8 +22,9 @@ from exptwolevel.errors import (
     ExponentOverflowError,
     PoleError,
 )
-from exptwolevel.model import ModelParams, derived_params, x_of_t
+from exptwolevel.model import AxisSpec, ModelParams, derived_params, x_of_t
 from exptwolevel.oracle import IntegratorConfig, integrate_tdse_batch
+from exptwolevel.sweep import SweepConfig, run_sweep
 
 P = ModelParams(A=2.0, alpha=1.0, beta=1.5, epsilon=0.5, Delta=0.5, t0=-5.0, t1=3.0)
 P_HERM = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.0, t0=0.0, t1=5.0)
@@ -251,3 +252,27 @@ class TestPopulations:
         # the literal Re + Im projection can leave [0, 1]
         vals = [populations(P, -4.0, float(t)).p22_paper for t in np.linspace(-4, 2, 40)]
         assert min(vals) < 0.0 or max(vals) > 1.0
+
+
+class TestSlowSweep:
+    """Small alpha, where |mu| ~ |epsilon + i Delta| / (2 alpha) and the
+    special-function arguments grow."""
+
+    def test_asymptotic_estimate_has_no_floor(self):
+        # one M here has both asymptotic terms below 1e-300; a 1e-300 floor
+        # under their sum shrank its estimate, and the propagator was off by 1.8e17
+        p = ModelParams(A=2.1420765579890118, alpha=0.012765355662098403,
+                        beta=0.5639524840681398, epsilon=1.3458480708626537,
+                        Delta=2.4755016543218424, t0=0.0, t1=3.0)
+        u = propagator(p, 0.0, 3.0).as_array()
+        # row j of the batch is column j of the propagator
+        ref = integrate_tdse_batch([p, p], [(1.0, 0.0), (0.0, 1.0)], 0.0, 3.0, TIGHT).T
+        assert np.max(np.abs(u - ref)) < 1e-6
+
+    def test_power_overflow_is_typed(self):
+        # Re(mu1 log x0) = 899 at t0: x^mu leaves the float range
+        p = ModelParams(A=1.0, alpha=0.002, beta=-2.0, epsilon=1.0, Delta=2.0, t0=0.0, t1=3.0)
+        with pytest.raises(ExponentOverflowError):
+            propagator(p, 0.0, 3.0)
+        ds = run_sweep(SweepConfig(p, (AxisSpec("Delta", 2.0, 2.0, 1),), "populations"))
+        assert ds.rows[0][-1] == 3

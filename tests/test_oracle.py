@@ -53,7 +53,7 @@ def lab_frame(params, init, t0, t1, t_eval):
         # columns (O, -O) of the diagonal at every stage time
         om = 0.5 * (A * np.exp(alpha * ts[:, None] + beta) + eps)[..., None]
         om = np.concatenate((om, -om), axis=-1)
-        return lambda i, y: -1j * (om[i] * y + d * y[:, ::-1])
+        return lambda i, y, out: np.multiply(-1j, om[i] * y + d * y[:, ::-1], out=out)
 
     y0 = np.broadcast_to(np.asarray(init, dtype=complex), (len(params), 2)).copy()
     max_step = oracle.STEP_CAP / np.max(np.abs(alpha))
@@ -181,6 +181,18 @@ class TestBatch:
             assert abs(row[0] - single[0]) < 1e-9
             assert abs(row[1] - single[1]) < 1e-9
 
+    def test_signed_zero_rows_step_as_alone(self, step_counts):
+        # the phase is formed once per row distinct in its bits: epsilon = 0.0
+        # and -0.0 are two rows, and each is sampled bit for bit as in a batch
+        # of its own (at A < 0 and epsilon = -0.0, 2 phi is -0.0 at t0)
+        rows = [ModelParams(-2.0, 1.0, 0.0, eps, 0.7, 0.0, 4.0) for eps in (0.0, -0.0)]
+        both = integrate_tdse_batch(rows, (0.0, 1.0), 0.0, 4.0, t_eval=[1.5, 4.0])
+        for j, q in enumerate(rows):
+            alone = integrate_tdse_batch([q], (0.0, 1.0), 0.0, 4.0, t_eval=[1.5, 4.0])
+            assert both[:, j].tobytes() == alone[:, 0].tobytes()
+        # the error norms are equal, so the steps are the same
+        assert step_counts[0] == step_counts[1] == step_counts[2]
+
     def test_overflowing_point_fails_fast(self):
         # at beta = 400 the dynamical phase (~1e174 rad) cannot be resolved, so the
         # phase check names that point before the first step, and numpy's overflow
@@ -276,6 +288,17 @@ class TestTableau:
                 "xt.rabi_survival_closed_form(r); xt.rabi_survival_oracle(r); "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'numpy' or m == 'exptwolevel.oracle'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert out.stdout.split() == ["[]"]
+
+    def test_closed_form_loads_no_fractions_or_json(self):
+        # Fraction serves wronskian_residual and json serves emit; neither is on
+        # the path of import and a first closed-form call
+        src = str(Path(exptwolevel.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import exptwolevel as xt; "
+                "xt.populations(xt.ModelParams(2.0, 1.0, 0.0, 0.2, 0.5, 0.0, 5.0), 0.0, 5.0); "
+                "print(sorted(m for m in ('fractions', 'json') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=60, check=True)
         assert out.stdout.split() == ["[]"]

@@ -382,6 +382,34 @@ class TestMpmathReference:
             checked += 1
         assert checked >= 0.9 * len(points) > 0
 
+    def test_kummer_m_without_an_estimate_floor(self):
+        # both asymptotic terms are below 1e-300 (t1 underflows to 0); a floor of
+        # 1e-300 under their sum shrank the estimate to 3e-10, and M returned
+        # 5.2e-16 + 3.6e-16i.  The route now misses, and the Taylor sum runs
+        mpmath = pytest.importorskip("mpmath")
+        mu, g, z = 85.922 - 112.203j, 172.845 - 118.975j, -306.447j
+        with mpmath.workdps(50):
+            ref = complex(mpmath.hyp1f1(mu, g, z))
+        assert relerr(kummer_m(mu, g, z), ref) < 2.0**-52
+
+    @pytest.mark.parametrize(
+        "a, b, z",
+        [(0.7 - 0.3j, 1.25 + 1e-300j, 3.5 - 2.25j),
+         (-2.5 + 4.0j, 0.5 + 2.0**-80 * 1j, -12.0 + 7.0j),
+         (3.0, 1e-30 + 1e-200j, 0.75)],
+    )
+    def test_taylor_negative_shift(self, a, b, z):
+        # b's tiny imaginary part makes its denominator db exceed dz da, so the
+        # step's power-of-two shift is negative and scales z up instead
+        mpmath = pytest.importorskip("mpmath")
+        (_, _, da), (_, _, db), (_, _, dz) = map(specfun._exact, (a, b, z))
+        assert db > dz * da
+        got, err = specfun._kummer_taylor(a, b, z)
+        with mpmath.workdps(50):
+            ref = complex(mpmath.hyp1f1(a, b, z))
+        assert err < specfun.ACCURACY_TARGET
+        assert relerr(got, ref) < 2.0**-52
+
     def test_tricomi_u(self):
         # the connection's estimate counts each Gamma prefactor's error: on the
         # box every returned U meets the target, the rest raise
