@@ -25,8 +25,8 @@ The propagator is formed as a Wronskian ratio: the numerator matrix at time t
 against the closed-form determinant at time t0, which is stable where direct
 2x2 inversion of a nearly degenerate basis would not be.  A basis that lost
 its accuracy to cancellation shows in its numeric determinant at t0, which
-then strays from the closed form; past BASIS_RESIDUAL_LIMIT the propagator
-raises.
+then strays from the closed form; past BASIS_RESIDUAL_LIMIT the propagator's
+start, which a sweep shares across its t axis, raises.
 
 `AmplitudePair` is the one record of a pair of amplitudes, from the closed
 form or an oracle; the populations the figures plot are its properties.
@@ -162,29 +162,31 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
 
 
 def _propagator_start(p: ModelParams, t0: float) -> tuple:
-    """What `propagator` needs of t0 alone: (p, t0, d, x0, basis at x0), the
-    last two None at zero coupling.  A sweep over t builds it once."""
+    """What `propagator` needs of t0 alone, its basis checked: (p, t0, d, basis
+    at x0, closed-form determinant at x0), the last two None at zero coupling.
+    A sweep over t builds it once."""
     d = derived_params(p)
     if d.c == 0:
         return p, t0, d, None, None
     x0 = x_of_t(p, t0)
-    return p, t0, d, x0, basis_solutions(d, x0)
-
-
-def _propagator_end(p, t0, d, x0, b0, t: float) -> PropagatorMatrix:
-    """U(t, t0) from a start.  The determinant check at t0 runs after the
-    basis at t, so a point that fails both raises the error of the basis at t."""
-    # the stripped gauge phase exp(i * integral of the detuning from t0 to t)
-    ph = cmath.exp(1j * omega_integral(p, t0, t))
-    if b0 is None:
-        return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t=t)
-    bt = basis_solutions(d, x_of_t(p, t))
+    b0 = basis_solutions(d, x0)
     w12 = transition_parameter_omega12(d, x0)
     if w12 == 0 or not cmath.isfinite(w12):
         raise DegeneracyError(f"basis determinant vanished at t0 = {t0}")
     residual = abs((b0.u2 * b0.v1 - b0.v2 * b0.u1) / w12 - 1)
     if not residual <= BASIS_RESIDUAL_LIMIT:  # NaN raises too
         raise AccuracyError(f"basis residual {residual:.2e} at t0 = {t0}", residual=residual)
+    return p, t0, d, b0, w12
+
+
+def _propagator_end(p, t0, d, b0, w12, t: float) -> PropagatorMatrix:
+    """U(t, t0) from a start: the gauge phase, the basis at t, and the
+    Wronskian-ratio products against the start's checked basis."""
+    # the stripped gauge phase exp(i * integral of the detuning from t0 to t)
+    ph = cmath.exp(1j * omega_integral(p, t0, t))
+    if b0 is None:
+        return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t=t)
+    bt = basis_solutions(d, x_of_t(p, t))
     s = ph / w12
     return PropagatorMatrix(
         u11=s * (bt.u2 * b0.v1 - bt.v2 * b0.u1),

@@ -104,7 +104,7 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
     scales linearly with that magnitude for a fixed window.
     """
     import numpy as np
-    from .oracle import constant_h_propagator, integrate_tdse_batch
+    from .oracle import integrate_tdse_batch
 
     mag = abs(p.A) * math.exp(p.alpha * t_probe + p.beta)
     if p.epsilon == 0 or not mag < RABI_LIMIT_THRESHOLD * abs(p.epsilon):  # NaN t_probe too
@@ -114,7 +114,6 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
             f"at t_probe = {t_probe}"
         )
     om, d = 0.5 * p.epsilon, 0.5 * complex(p.epsilon, p.Delta)
-    h = np.array([[om, d], [d, -om]], dtype=complex)
     rho = abs(cmath.sqrt(complex(om) ** 2 + d ** 2))
     window = 2.0 * (2.0 * math.pi / rho) if rho > 0 else 1.0
     if p.A != 0 and p.alpha > 0:
@@ -128,11 +127,9 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
     )
     dev = 0.0
     for tt, (sample,) in zip(ts, samples):
-        u = constant_h_propagator(h, float(tt) - t_probe)
-        dev = max(
-            dev,
-            abs(abs(sample[0]) ** 2 - abs(u[0, 0]) ** 2),
-            abs(abs(sample[1]) ** 2 - abs(u[1, 0]) ** 2),
-        )
+        # the limit's survival |U11|^2 is p22_mod2, its transfer |U21|^2 p12_mod2
+        u = rabi_survival_oracle(RabiParams(p.epsilon, p.Delta, float(tt) - t_probe))
+        dev = max(dev, abs(abs(sample[0]) ** 2 - u.p22_mod2),
+                  abs(abs(sample[1]) ** 2 - u.p12_mod2))
     return float(dev)
 

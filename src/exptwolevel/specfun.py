@@ -9,11 +9,12 @@ One route rule serves M and U (thresholds are the constants below):
   gamma within INTEGER_BAND of an integer (as complex distance), where the
   connection's Gamma poles cancel.  The asymptotic route is the large-|z|
   Poincare series truncated at the smallest term.
-* If the first route misses ACCURACY_TARGET (a NaN estimate misses it too),
-  the other route is tried at any |z| and the better estimate kept.  A value
-  that still misses the target raises ``AccuracyError``, as does a Taylor sum
-  whose terms leave the float range; an exponential past
-  ``ExponentOverflowError.LIMIT`` raises that error.
+* A route misses where its estimate is off ACCURACY_TARGET (a NaN estimate
+  too) or where it raises: ``AccuracyError`` for a Taylor sum whose terms
+  leave the float range, ``ExponentOverflowError`` for an exponential past
+  ``ExponentOverflowError.LIMIT`` or an M past the float range.  After a miss
+  the other route runs at any |z|.  Where both miss, the first error a route
+  raised is raised, else ``AccuracyError``.
 
 A non-finite argument raises ``DomainError``.
 The principal branch is used throughout, with the cut of U along the
@@ -150,7 +151,10 @@ def _kummer_taylor(a, b, z):
         if mag << 66 <= total:
             # (k + 1) terms; 1.0 once max|t_k| 2^-bits reaches |sum|, where no digit is sure
             err = (k + 1) * peak / (total << bits) if peak >> bits < total else 1.0
-            return complex(sr / one, si / one), err  # int / int rounds correctly
+            try:
+                return complex(sr / one, si / one), err  # int / int rounds correctly
+            except OverflowError:  # |M| rounds past the float range: name ln|M|
+                raise ExponentOverflowError(0.5 * math.log(sr * sr + si * si) - bits * math.log(2))
         if mag >= huge:
             break  # past the float range: the fraction bits cannot resolve the sum
     raise AccuracyError(
@@ -221,28 +225,23 @@ def _tricomi_asymptotic_raw(a, b, z):
 
 
 def _route(name, series, asymptotic, mu, gamma, z):
-    """(value, error estimate) by the route rule of M and U.  Each route maps
-    (mu, gamma, z) to the same; ``series`` is None where there is no series
-    route."""
-    first, other = ((series, asymptotic) if abs(z) <= TAYLOR_RADIUS and series
-                    else (asymptotic, series))
-    overflow = None
-    try:
-        val, err = first(mu, gamma, z)
-    except ExponentOverflowError as exc:  # a miss, raised if the other route misses too
-        val, err, overflow = math.nan, math.nan, exc
-    # written so that a NaN estimate (an overflowed sum) misses the target too
-    if not err <= ACCURACY_TARGET and other is not None:
+    """(value, error estimate) of the first of the two routes in order that does
+    not miss, by the route rule of M and U; each maps (mu, gamma, z) to the
+    same, and ``series`` is None where there is no series route."""
+    routes = ((series, asymptotic) if abs(z) <= TAYLOR_RADIUS and series
+              else (asymptotic, series))
+    best, raised = math.inf, None
+    for route in filter(None, routes):
         try:
-            alt, alt_err = other(mu, gamma, z)
+            val, err = route(mu, gamma, z)
         except (AccuracyError, ExponentOverflowError) as exc:
-            raise overflow or exc
-        if alt_err < err or cmath.isnan(err):
-            val, err = alt, alt_err
-    if not err <= ACCURACY_TARGET:
-        raise overflow or AccuracyError(
-            f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {err:.2e}", residual=err)
-    return val, err
+            raised = raised or exc
+            continue
+        if err <= ACCURACY_TARGET:
+            return val, err
+        best = min(best, err)
+    raise raised or AccuracyError(
+        f"{name}(mu={mu}, gamma={gamma}, z={z}) reached residual {best:.2e}", residual=best)
 
 
 def _kummer(mu, gamma, z):

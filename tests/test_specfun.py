@@ -449,6 +449,16 @@ class TestMpmathReference:
         assert missed == [-66.42380028552962 + 26.307661706829293j]
         assert checked >= 0.8 * len(points)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "U's Poincare sum near the negative real axis at |z| ~ 17 estimates "
+        "7.9e-10 but is off by 1.60e-9 (ROADMAP item 7)"))
+    def test_tricomi_u_known_asymptotic_miss(self):
+        mpmath = pytest.importorskip("mpmath")
+        mu, g, z = 0.284 - 0.201j, 1 + 1.6e-9j, -15.78 + 7.15j
+        with mpmath.workdps(50):
+            ref = complex(mpmath.hyperu(mu, g, z))
+        assert relerr(tricomi_u(mu, g, z), ref) < specfun.ACCURACY_TARGET
+
     @pytest.mark.parametrize(
         "g",
         # just outside INTEGER_BAND, Gamma(gamma - 1) or Gamma(1 - gamma) sits
@@ -577,6 +587,25 @@ class TestDomain:
             return 2.0 + 0.0j, 0.0
 
         assert specfun._route("U", exact, overflowed, 1.0, 1.5, 40.0) == (2.0, 0.0)
+
+    def test_raised_accuracy_error_keeps_the_retry(self):
+        # a route that raises AccuracyError misses, as one that overflows does:
+        # at |z| = 1 the series route runs first and the asymptotic route follows
+        def unconverged(*w):
+            raise AccuracyError("series did not converge")
+
+        def exact(*w):
+            return 2.0 + 0.0j, 0.0
+
+        assert specfun._route("M", unconverged, exact, 1.0, 1.5, 1.0) == (2.0, 0.0)
+
+    def test_taylor_sum_past_the_float_range_is_typed(self):
+        # |M| rounds past the largest float: the sum names ln|M|, and its
+        # neighbour, just inside the range, returns its value
+        with pytest.raises(ExponentOverflowError) as info:
+            kummer_m(3427.4511496932973, 0.5, 35)
+        assert 709.78 < info.value.exponent < 709.79
+        assert kummer_m(3427.4511496914783, 0.5, 35) == 1.797693134592405e308
 
     def test_taylor_nonconvergence_reports_finite_residual(self):
         # the second term is ~1e599, past the float range: the sum stops there

@@ -21,7 +21,6 @@ from exptwolevel.errors import (
     AccuracyError,
     ConfigError,
     DegeneracyError,
-    DomainError,
     ExponentOverflowError,
 )
 from exptwolevel.model import AxisSpec, ModelParams
@@ -255,19 +254,18 @@ class TestDelegation:
         assert [r[-1] for r in ds.rows] == [2] * 8
         assert len(built) == 2
 
-    def test_basis_at_t_fails_before_start_check(self, monkeypatch):
-        # the basis at t is evaluated before the determinant check at t0, so a
-        # row whose basis at t fails reports that error (code 1), not the check's
+    def test_failed_start_builds_one_basis(self, monkeypatch):
+        # the start checks its own basis, so a failed check builds no basis at t
+        built = []
         basis = analytic.basis_solutions
 
-        def fails_past_one(d, x):
-            if x > 5.0:  # t > 1.61 at BAD_START
-                raise DomainError("basis at t fails")
+        def counted(d, x):
+            built.append(x)
             return basis(d, x)
 
-        monkeypatch.setattr(analytic, "basis_solutions", fails_past_one)
-        ds = run_sweep(small_cfg(base=BAD_START, axes=(AxisSpec("t", 0.5, 4.0, 8),)))
-        assert [r[-1] for r in ds.rows] == [3, 3, 3, 1, 1, 1, 1, 1]
+        monkeypatch.setattr(analytic, "basis_solutions", counted)
+        run_sweep(small_cfg(base=BAD_START, axes=(AxisSpec("t", 0.25, 1.0, 4),)))
+        assert len(built) == 1
 
     def test_oracle_failure_flags_only_its_row(self, tmp_path):
         # at beta = 400 the oracle's phase is not resolvable: the phase check names
