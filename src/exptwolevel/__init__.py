@@ -29,6 +29,7 @@ from .spectrum import (
 )
 from .rabi import (
     RabiParams,
+    constant_h_propagator,
     rabi_limit_convergence,
     rabi_survival_closed_form,
     rabi_survival_oracle,
@@ -36,7 +37,7 @@ from .rabi import (
 from .sweep import Dataset, SweepConfig, emit, run_sweep
 
 # the DOP853 oracle, and with it numpy, loads on the first use of one of these
-_ORACLE_NAMES = ("constant_h_propagator", "integrate_tdse_batch")
+_ORACLE_NAMES = ("integrate_tdse_batch",)
 
 
 def __getattr__(name):

@@ -8,22 +8,18 @@ class DomainError(ValueError):
 class PoleError(DomainError):
     """Evaluation requested exactly at a pole (e.g. Gamma at a non-positive integer)."""
 
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
-
 
 class AccuracyError(ArithmeticError):
     """A series or integrator failed to reach the requested accuracy.
 
     Carries the best residual actually achieved in ``residual``, and in
-    ``points`` the batch indices of points a check rejected before the run.
+    ``points`` the batch indices of points the oracle's phase check rejected
+    before the run; a failure once stepping has started names no points.
     """
 
-    def __init__(self, message, residual=None, partial=None, points=None):
+    def __init__(self, message, residual=None, points=None):
         super().__init__(message)
         self.residual = residual
-        self.partial = partial
         self.points = points
 
 

@@ -12,7 +12,10 @@ and maps each sample back with C1 = e^{-i phi} a1, C2 = e^{i phi} a2; its
 step follows the coupling, not the fast phase.  phi is formed here from
 (A, alpha, beta, epsilon), and nothing here touches the hypergeometric
 machinery or the closed form's gauge factor, so agreement between this
-module and `analytic` is a genuine two-route check.
+module and `analytic` is a genuine two-route check.  The module holds the
+integrator `_dop853` and its two users, `integrate_tdse_batch` and
+`transformed_ode_check`, and imports from the package only `errors` and
+`model`; exp(-i H dt) of a constant H is `rabi.constant_h_propagator`.
 
 The integrator is hand-rolled rather than delegated so that (a) whole
 parameter sweeps can be integrated as one batched state array with a shared
@@ -45,7 +48,6 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .model import IntegratorConfig, ModelParams, derived_params, omega_integral, t_of_x
-from .rabi import _rotation
 
 # DOP853 tableau: 12 stages and the FSAL row, whose input (row 12 of _A) is the
 # 8th-order solution.  _ERR holds the 5th- and 3rd-order error weights E5 and E3
@@ -133,9 +135,7 @@ def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
 
     while (t1 - t) * direction > 0:
         if accepted + rejected >= MAX_STEPS:
-            raise AccuracyError(
-                f"step budget {MAX_STEPS} exhausted at t={t}", partial=(t, y.copy())
-            )
+            raise AccuracyError(f"step budget {MAX_STEPS} exhausted at t={t}")
         # do not step past the next sample time or the endpoint
         limit = targets[next_target][0] if next_target < len(targets) else t1
         # clip the trial step to land on the limit without forgetting the
@@ -168,7 +168,7 @@ def _dop853(rhs, t0, t1, y0, cfg: IntegratorConfig, max_step, t_eval):
             h_new = max(h_new, abs(h))  # clipping must not throttle the controller
         h = direction * min(h_new, max_step)
         if abs(h) < 1e-15 * span:
-            raise AccuracyError(f"step size underflow at t={t}", partial=(t, y.copy()))
+            raise AccuracyError(f"step size underflow at t={t}")
     return samples, accepted, rejected
 
 
@@ -237,14 +237,6 @@ def integrate_tdse_batch(
         # back to the lab frame: c1 = e^{-i phi} a1, c2 = e^{i phi} a2
         samples *= np.exp(0.5j * two_phi(times)[:, inverse, None] * [-1.0, 1.0])
     return samples[0] if t_eval is None else samples
-
-
-def constant_h_propagator(H, dt: float) -> np.ndarray:
-    """exp(-i H dt) for traceless 2x2 H via the closed rho-formula."""
-    (h00, h01), (h10, h11) = np.asarray(H, dtype=complex).tolist()
-    cosw, sinc = _rotation(h00, h01, h10, dt)
-    return np.array([[cosw - 1j * sinc * h00, -1j * sinc * h01],
-                     [-1j * sinc * h10, cosw - 1j * sinc * h11]])
 
 
 def transformed_ode_check(p: ModelParams, x0: float, x1: float,

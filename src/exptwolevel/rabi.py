@@ -13,11 +13,12 @@ Rev. 51, 652 (1937)) with coupling d and detuning eps,
 evaluated literally over the complex numbers (principal square root) and
 returned as one complex number: its modulus is |U21|^2 at every Delta, and
 at Delta = 0 it is real and equals |U21|^2.  Alongside it are an independent
-matrix-exponential oracle for the same constant Hamiltonian and a convergence
-check quantifying how fast the exponential model approaches this limit.  The
-closed form and the oracle are kept as separate routes so that each checks
-the other; the 2-D interferogram over (t, epsilon) is an `interferogram`
-sweep (see `sweep`).
+matrix-exponential oracle for the same constant Hamiltonian, the propagator
+exp(-i H dt) of any traceless constant 2x2 H (`constant_h_propagator`; both
+go through `_rotation`), and a convergence check quantifying how fast the
+exponential model approaches this limit.  The closed form and the oracle are
+kept as separate routes so that each checks the other; the 2-D interferogram
+over (t, epsilon) is an `interferogram` sweep (see `sweep`).
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ def _rotation(h00: complex, h01: complex, h10: complex, dt: float, power: int = 
         sinc = cmath.sin(w) / rho
         cosw = cmath.cos(w)
     return cosw, sinc
+
+
+def constant_h_propagator(H, dt: float):
+    """exp(-i H dt) for traceless 2x2 H via the closed rho-formula, as a numpy array."""
+    import numpy as np
+    (h00, h01), (h10, h11) = np.asarray(H, dtype=complex).tolist()
+    cosw, sinc = _rotation(h00, h01, h10, dt)
+    return np.array([[cosw - 1j * sinc * h00, -1j * sinc * h01],
+                     [-1j * sinc * h10, cosw - 1j * sinc * h11]])
 
 
 # exponential magnitude below which the model counts as "in the Rabi limit"

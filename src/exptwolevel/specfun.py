@@ -71,7 +71,7 @@ def ln_gamma_complex(z) -> complex:
     if z.real >= 0.5 or abs(z.imag) > 7.0:
         return _ln_gamma_stirling(z)
     if _nonpositive_int(z):
-        raise PoleError(f"log Gamma pole at z = {z}", location=round(z.real))
+        raise PoleError(f"log Gamma pole at z = {z}")
     # reflection: sin(pi z) = (-1)^n sin(pi (z - n)), with z - n exact
     n = round(z.real)
     x, y, sign = math.pi * (z.real - n), math.pi * z.imag, -1.0 if n % 2 else 1.0
@@ -256,10 +256,7 @@ def kummer_m(mu, gamma, z) -> complex:
     """Kummer's function M(mu, gamma, z) on the principal branch."""
     mu, gamma, z = _finite(mu, gamma, z)
     if _nonpositive_int(gamma):
-        raise PoleError(
-            f"M(mu, gamma, z) undefined: gamma = {gamma} is a non-positive integer",
-            location=round(gamma.real),
-        )
+        raise PoleError(f"M(mu, gamma, z) undefined: gamma = {gamma} is a non-positive integer")
     return _kummer(mu, gamma, z)[0]
 
 
@@ -340,9 +337,7 @@ def wronskian_residual(mu, gamma, z) -> float:
     from fractions import Fraction  # here, off the closed form's import path
     mu, gamma, z = _finite(mu, gamma, z)
     if _nonpositive_int(mu):
-        raise PoleError(
-            f"Wronskian prefactor Gamma(mu) pole at mu = {mu}", location=round(mu.real)
-        )
+        raise PoleError(f"Wronskian prefactor Gamma(mu) pole at mu = {mu}")
     m, dm = kummer_m(mu, gamma, z), kummer_m_derivative(mu, gamma, z)
     u, du = tricomi_u(mu, gamma, z), tricomi_u_derivative(mu, gamma, z)
     # the products M*U' and U*M' exceed W by ~e^{pi |Im gamma|} on the

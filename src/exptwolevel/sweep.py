@@ -36,13 +36,7 @@ from typing import Callable
 from . import __version__
 from .analytic import AmplitudePair, _prepared_in_lower, _propagator_end, _propagator_start
 from .analytic import populations  # noqa: F401  (perfbench's tracer wraps it under this name)
-from .errors import (
-    AccuracyError,
-    ConfigError,
-    DegeneracyError,
-    DomainError,
-    ExponentOverflowError,
-)
+from .errors import AccuracyError, ConfigError, DegeneracyError, DomainError
 from .model import METHOD, AxisSpec, IntegratorConfig, ModelParams, json_number
 from .rabi import RabiParams, rabi_survival_closed_form, rabi_survival_oracle
 from .spectrum import energy_decomposition
@@ -76,6 +70,8 @@ class SweepConfig:
                 raise ConfigError(f"axis {n!r} not sweepable for {self.quantity}; choose from {spec.axes}")
         if spec.exact_axes and names != spec.axes:
             raise ConfigError(f"{self.quantity} needs axes {spec.axes}, in that order")
+        if self.oracle and not spec.oracle_columns:
+            raise ConfigError(f"{self.quantity} has no oracle columns; run it without the oracle")
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,7 +120,7 @@ def _error_code(exc: Exception) -> int:
         return 2
     if isinstance(exc, (DomainError,)):  # PoleError subclasses it; ConfigError is a ValueError
         return 1
-    if isinstance(exc, (AccuracyError, ExponentOverflowError, OverflowError)):
+    if isinstance(exc, (AccuracyError, OverflowError)):  # ExponentOverflowError subclasses it
         return 3
     return 4
 
@@ -367,4 +363,5 @@ def _figure_config(n: int, oracle: bool = True) -> SweepConfig:
     if n not in FIGURES:
         raise ConfigError(f"no built-in figure {n}; choose from {tuple(FIGURES)}")
     base, axes, quantity = FIGURES[n]
-    return SweepConfig(base, axes, quantity, oracle=oracle and quantity != "spectrum")
+    return SweepConfig(base, axes, quantity,
+                       oracle=oracle and bool(QUANTITIES[quantity].oracle_columns))

@@ -2,6 +2,7 @@
 with the lab-frame equation, pinned step counts and rows, and the
 constant-Hamiltonian matrix exponential."""
 
+import ast
 import cmath
 import hashlib
 import io
@@ -16,15 +17,12 @@ import pytest
 
 import exptwolevel
 import exptwolevel.oracle as oracle
+import exptwolevel.rabi as rabi
 from exptwolevel import specfun
 from exptwolevel.errors import AccuracyError, DomainError, ExponentOverflowError
 from exptwolevel.model import AxisSpec, ModelParams, omega_integral, x_of_t
-from exptwolevel.oracle import (
-    IntegratorConfig,
-    constant_h_propagator,
-    integrate_tdse_batch,
-    transformed_ode_check,
-)
+from exptwolevel.oracle import IntegratorConfig, integrate_tdse_batch, transformed_ode_check
+from exptwolevel.rabi import constant_h_propagator
 from exptwolevel.sweep import SweepConfig, _figure_config, emit, run_sweep
 
 P_HERM = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.5, Delta=0.0, t0=-3.0, t1=2.0)
@@ -305,14 +303,21 @@ class TestTableau:
 
     def test_oracle_names_stay_package_attributes(self):
         assert exptwolevel.integrate_tdse_batch is oracle.integrate_tdse_batch
-        assert exptwolevel.constant_h_propagator is oracle.constant_h_propagator
+        assert exptwolevel.constant_h_propagator is rabi.constant_h_propagator
         assert exptwolevel.IntegratorConfig is oracle.IntegratorConfig
         names = {}
         exec("from exptwolevel import *", names)
         assert names["integrate_tdse_batch"] is oracle.integrate_tdse_batch
-        assert names["constant_h_propagator"] is oracle.constant_h_propagator
+        assert names["constant_h_propagator"] is rabi.constant_h_propagator
         with pytest.raises(AttributeError):
             exptwolevel.no_such_name
+
+    def test_oracle_imports_only_the_model(self):
+        # the oracle checks the closed form, so it shares none of its code
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        names = {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level > 0}
+        assert names == {"errors", "model"}
 
     def test_figures_run_without_numpy(self, tmp_path):
         # figures 5-7 take no oracle batch: the CLI runs them with numpy blocked

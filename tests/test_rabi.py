@@ -10,9 +10,9 @@ import pytest
 from exptwolevel.analytic import propagator
 from exptwolevel.errors import ConfigError, DegeneracyError, DomainError, ExponentOverflowError
 from exptwolevel.model import AxisSpec, ModelParams, coupling, detuning
-from exptwolevel.oracle import constant_h_propagator
 from exptwolevel.rabi import (
     RabiParams,
+    constant_h_propagator,
     rabi_limit_convergence,
     rabi_survival_closed_form,
     rabi_survival_oracle,

@@ -86,8 +86,10 @@ class TestConfig:
         [lambda: small_cfg(axes=(AxisSpec("t", 1.0, 2.0, 2), AxisSpec("Delta", 0.0, 1.0, 2),
                                  AxisSpec("A", 1.0, 2.0, 2))),
          lambda: emit(Dataset(columns=["a"], rows=[]), "xml", io.StringIO()),
-         lambda: sweep._figure_config(8)],
-        ids=["three-axes", "emit-format", "figure-number"],
+         lambda: sweep._figure_config(8),
+         # a spectrum has no oracle columns: the flag would change only the header
+         lambda: small_cfg(quantity="spectrum", oracle=True)],
+        ids=["three-axes", "emit-format", "figure-number", "spectrum-oracle"],
     )
     def test_rejected_with_config_error(self, call):
         with pytest.raises(ConfigError):
@@ -537,6 +539,17 @@ class TestCli:
                        "--format", "json"])
         assert rc == 0
         assert json.loads(out.read_text())["rows"] == run_sweep(small_cfg()).rows
+
+    @pytest.mark.parametrize("via", ["flag", "config-file"])
+    def test_spectrum_oracle_is_config_error(self, via, tmp_path):
+        argv = ["--axis1", "Delta:-1:1:3", "--oracle"]
+        if via == "config-file":
+            d = small_cfg(quantity="spectrum").to_json_dict()
+            d["oracle"] = True
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps(d))
+            argv = ["--config", str(cfgfile)]
+        assert cli_main(["spectrum", *argv]) == 2
 
     @pytest.mark.parametrize("data", [None, b'{"base": ', b"\xff"],
                              ids=["missing", "invalid-json", "not-utf8"])
