@@ -24,9 +24,9 @@ and `kummer_m` raises `PoleError` there.
 The propagator is formed as a Wronskian ratio: the numerator matrix at time t
 against the closed-form determinant at time t0, which is stable where direct
 2x2 inversion of a nearly degenerate basis would not be.  A basis that lost
-its accuracy to cancellation shows in its numeric determinant at t0, which
-then strays from the closed form; past BASIS_RESIDUAL_LIMIT the propagator's
-start, which a sweep shares across its t axis, raises.
+its accuracy to cancellation shows in its numeric determinant, which then
+strays from the closed form; past specfun's ACCURACY_TARGET the propagator
+raises, at t0 in its start (which a sweep shares across its t axis) and at t.
 
 `AmplitudePair` is the one record of a pair of amplitudes, from the closed
 form or an oracle; the populations the figures plot are its properties.
@@ -40,10 +40,7 @@ from dataclasses import dataclass
 
 from .errors import AccuracyError, DegeneracyError, DomainError
 from .model import DerivedParams, ModelParams, derived_params, omega_integral, x_of_t
-from .specfun import _safe_exp, kummer_m
-
-# largest |numeric/closed-form basis determinant - 1| a propagator is returned at
-BASIS_RESIDUAL_LIMIT = 1e-8
+from .specfun import ACCURACY_TARGET, _safe_exp, kummer_m
 
 
 @dataclass(frozen=True)
@@ -162,31 +159,21 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
 
 
 def _propagator_start(p: ModelParams, t0: float) -> tuple:
-    """What `propagator` needs of t0 alone, its basis checked: (p, t0, d, basis
-    at x0, closed-form determinant at x0), the last two None at zero coupling.
-    A sweep over t builds it once."""
+    """What `propagator` needs of t0 alone, built once per sweep over t: (p, t0,
+    d, checked basis at x0, its determinant w12), the last two None at zero coupling."""
     d = derived_params(p)
     if d.c == 0:
         return p, t0, d, None, None
-    x0 = x_of_t(p, t0)
-    b0 = basis_solutions(d, x0)
-    w12 = transition_parameter_omega12(d, x0)
-    if w12 == 0 or not cmath.isfinite(w12):
-        raise DegeneracyError(f"basis determinant vanished at t0 = {t0}")
-    residual = abs((b0.u2 * b0.v1 - b0.v2 * b0.u1) / w12 - 1)
-    if not residual <= BASIS_RESIDUAL_LIMIT:  # NaN raises too
-        raise AccuracyError(f"basis residual {residual:.2e} at t0 = {t0}", residual=residual)
-    return p, t0, d, b0, w12
+    return (p, t0, d, *_checked_basis(d, x_of_t(p, t0)))
 
 
 def _propagator_end(p, t0, d, b0, w12, t: float) -> PropagatorMatrix:
-    """U(t, t0) from a start: the gauge phase, the basis at t, and the
-    Wronskian-ratio products against the start's checked basis."""
+    """U(t, t0) from a start: the gauge phase times Wronskian-ratio products of checked bases."""
     # the stripped gauge phase exp(i * integral of the detuning from t0 to t)
     ph = cmath.exp(1j * omega_integral(p, t0, t))
     if b0 is None:
         return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t=t)
-    bt = basis_solutions(d, x_of_t(p, t))
+    bt = _checked_basis(d, x_of_t(p, t))[0]
     s = ph / w12
     return PropagatorMatrix(
         u11=s * (bt.u2 * b0.v1 - bt.v2 * b0.u1),
@@ -195,6 +182,19 @@ def _propagator_end(p, t0, d, b0, w12, t: float) -> PropagatorMatrix:
         u22=s * (bt.v1 * b0.u2 - bt.u1 * b0.v2),
         t=t,
     )
+
+
+def _checked_basis(d: DerivedParams, x: float) -> tuple:
+    """(basis, closed-form determinant w12) at x; AccuracyError where the numeric determinant
+    is off w12 past ACCURACY_TARGET (good random-box rows read up to 7.3e-10)."""
+    b = basis_solutions(d, x)
+    w12 = transition_parameter_omega12(d, x)
+    if w12 == 0 or not cmath.isfinite(w12):
+        raise DegeneracyError(f"basis determinant vanished at x = {x}")
+    residual = abs((b.u2 * b.v1 - b.v2 * b.u1) / w12 - 1)
+    if not residual <= ACCURACY_TARGET:  # NaN raises too
+        raise AccuracyError(f"basis residual {residual:.2e} at x = {x}", residual=residual)
+    return b, w12
 
 
 def populations(p: ModelParams, t0: float, t: float) -> AmplitudePair:

@@ -12,9 +12,11 @@ One route rule serves M and U (thresholds are the constants below):
 * A route misses where its estimate is off ACCURACY_TARGET (a NaN estimate
   too) or where it raises: ``AccuracyError`` for a Taylor sum whose terms
   leave the float range, ``ExponentOverflowError`` for an exponential past
-  ``ExponentOverflowError.LIMIT`` or an M past the float range.  After a miss
-  the other route runs at any |z|.  Where both miss, the first error a route
-  raised is raised, else ``AccuracyError``.
+  ``ExponentOverflowError.LIMIT`` or an M past the float range.  A sum of 0
+  certifies nothing: two terms that sum to 0 estimate 0 only where each
+  term's own estimate is 0, and a 0 with a nonzero estimate misses.  After a
+  miss the other route runs at any |z|.  Where both miss, the first error a
+  route raised is raised, else ``AccuracyError``.
 
 A non-finite argument raises ``DomainError``.
 The principal branch is used throughout, with the cut of U along the
@@ -215,7 +217,7 @@ def _kummer_asymptotic(a, b, z):
         t2 = (_safe_exp(-ln_gamma_complex(a)) * _safe_exp(s * (b - a) * cmath.pi * 1j)
               * _safe_exp(z) * u2)
     total = t1 + t2
-    err = _relative(abs(t1) * e1 + abs(t2) * e2, total)
+    err = _relative(abs(t1) * e1 + abs(t2) * e2 if total else e1 + e2, total)
     return _safe_exp(ln_gamma_complex(b)) * total, err
 
 
@@ -237,7 +239,7 @@ def _route(name, series, asymptotic, mu, gamma, z):
         except (AccuracyError, ExponentOverflowError) as exc:
             raised = raised or exc
             continue
-        if err <= ACCURACY_TARGET:
+        if err <= ACCURACY_TARGET and (val or not err):  # an underflowed 0 certifies nothing
             return val, err
         best = min(best, err)
     raise raised or AccuracyError(
@@ -285,7 +287,7 @@ def _tricomi_connection(mu, gamma, z):
         t2 = _safe_exp(lw) * _safe_exp(-lm) * _safe_exp((1.0 - gamma) * cmath.log(z)) * m
         e2 = _gamma_error(w, lw) + 2.0**-53 * abs(lm) + em  # mu is not rounded here
     out = t1 + t2
-    return out, _relative(abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2), out)
+    return out, _relative(abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2) if out else math.inf, out)
 
 
 def _gamma_error(w: complex, ln_gamma: complex) -> float:

@@ -90,22 +90,19 @@ class SweepConfig:
             known += [(a, [f.name for f in fields(AxisSpec)]) for a in d["axes"]]
             unknown = sorted(k for obj, keys in known for k in set(obj) - set(keys))
             if unknown:
-                raise ConfigError(f"unknown keys {unknown}")
+                raise TypeError(f"unknown keys {unknown}")
             # JSON types are checked, not coerced: bool("false") is True
             oracle, samples = d.get("oracle", False), [a["samples"] for a in d["axes"]]
             if type(oracle) is not bool or any(type(n) is not int for n in samples):
                 raise TypeError(f"need a boolean oracle and integer samples: {oracle!r}, {samples}")
-            return SweepConfig(
-                base=ModelParams.from_json_dict(d["base"]),
-                axes=tuple(
-                    AxisSpec(a["name"], json_number(a["start"]), json_number(a["stop"]), n)
-                    for a, n in zip(d["axes"], samples)
-                ),
-                quantity=d["quantity"],
-                oracle=oracle,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            base, quantity = ModelParams.from_json_dict(d["base"]), d["quantity"]
+            axes = tuple(AxisSpec(a["name"], json_number(a["start"]), json_number(a["stop"]), n)
+                         for a, n in zip(d["axes"], samples))
+        except (KeyError, TypeError, OverflowError) as exc:  # the JSON's shape or types
             raise ConfigError(f"malformed sweep config: {exc}") from exc
+        except DomainError as exc:
+            raise ConfigError(f"invalid sweep config: {exc}") from exc
+        return SweepConfig(base, axes, quantity, oracle)
 
 
 @dataclass

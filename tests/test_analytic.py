@@ -139,18 +139,18 @@ class TestOracleAgreement:
         assert abs(a.c2 - o[1]) < 1e-9
 
 
-def flagged_rows(params: list) -> int:
-    """How many of params raise a typed error for U(1, 0); every other
+def flagged_rows(params: list, t1: float = 1.0) -> int:
+    """How many of params raise a typed error for U(t1, 0); every other
     propagator must match one batched oracle call to 1e-6."""
     n = len(params)
-    # columns of U(1, 0): initial states (1, 0) and (0, 1) in one batch
+    # columns of U(t1, 0): initial states (1, 0) and (0, 1) in one batch
     init = np.array([(1.0, 0.0)] * n + [(0.0, 1.0)] * n, dtype=complex)
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-    ref = integrate_tdse_batch(params + params, init, 0.0, 1.0, cfg)
+    ref = integrate_tdse_batch(params + params, init, 0.0, t1, cfg)
     flagged = 0
     for i, q in enumerate(params):
         try:
-            u = propagator(q, 0.0, 1.0).as_array()
+            u = propagator(q, 0.0, t1).as_array()
         except (AccuracyError, DegeneracyError, DomainError, ExponentOverflowError):
             flagged += 1
             continue
@@ -254,9 +254,54 @@ class TestPopulations:
         assert min(vals) < 0.0 or max(vals) > 1.0
 
 
+# slow-sweep rows once returned silently wrong, each over [0, t1]: two off the
+# oracle by 4.31e-6 and 2.66e-6 with every M correctly rounded; row A by 10.9,
+# from an M whose two asymptotic terms underflowed to a sum of 0; row B by
+# 3.34e-6; and row C by 3.8e6, from an M at t off by 1.7e6, though its basis
+# at t0 is good (residual 5.7e-14): only the basis check at t sees it
+SLOW_ROWS = [
+    ModelParams(1.7445002644567762, 0.009439590200997428, 0.7731392888267123,
+                -0.9025709098665589, 1.3607312619180174, 0.0, 5.0),
+    ModelParams(2.7986583657634676, 0.04948462548868517, 1.9128529853418437,
+                -3.0542897853700928, 4.2165553222175305, 0.0, 3.0),
+    ModelParams(1.6429947655446768, 0.01121347243709101, 0.05589146713208848,
+                5.880542077417344, 3.5744715415151767, 0.0, 3.0),
+    ModelParams(2.9218500078794456, 0.0313276691426885, 1.3056093169482539,
+                -0.5969087900879426, -4.297452367843954, 0.0, 5.0),
+    ModelParams(2.093777149932855, -0.011940899949398197, 1.1910861690854286,
+                0.23532964049921468, 4.985831562597117, 0.0, 5.0),
+]
+
+
 class TestSlowSweep:
     """Small alpha, where |mu| ~ |epsilon + i Delta| / (2 alpha) and the
     special-function arguments grow."""
+
+    def test_box_never_silently_wrong(self):
+        # |alpha| log-uniform in [0.002, 0.05] of either sign, A in [0.5, 3],
+        # beta in [-4, 2], epsilon and Delta in [-6, 6], over [0, 3] for half
+        # the points and [0, 5] for the rest, plus SLOW_ROWS: each propagator
+        # matches the oracle to 1e-6 or raises a typed error.  The raised share
+        # is printed, not asserted
+        rng = np.random.default_rng(6)
+        n = 100
+        alpha = rng.choice((-1.0, 1.0), n) * np.exp(rng.uniform(math.log(0.002), math.log(0.05), n))
+        amp, beta = rng.uniform(0.5, 3.0, n), rng.uniform(-4.0, 2.0, n)
+        eps, delta = rng.uniform(-6.0, 6.0, (2, n))
+        t1 = np.repeat([3.0, 5.0], n // 2)
+        params = SLOW_ROWS + [ModelParams(*row, 0.0, t) for *row, t
+                              in zip(amp, alpha, beta, eps, delta, t1)]
+        raised = sum(flagged_rows([q for q in params if q.t1 == t], t) for t in (3.0, 5.0))
+        print(f"slow-sweep box: {raised} of {len(params)} propagators raised")
+
+    @pytest.mark.parametrize("q", [SLOW_ROWS[0], SLOW_ROWS[1], SLOW_ROWS[3]],
+                             ids=["t5", "t3", "row-b"])
+    def test_basis_residual_past_the_target_raises(self, q):
+        # each M is correctly rounded, yet the columns lose accuracy: the
+        # numeric determinant strays from the closed form by 1.9e-9 to 7.5e-9
+        # at t0 and by 9.7e-9 to 2.5e-8 at t, and the propagator raises
+        with pytest.raises(AccuracyError, match="basis residual"):
+            propagator(q, 0.0, q.t1)
 
     def test_asymptotic_estimate_has_no_floor(self):
         # one M here has both asymptotic terms below 1e-300; a 1e-300 floor

@@ -392,6 +392,37 @@ class TestMpmathReference:
             ref = complex(mpmath.hyp1f1(mu, g, z))
         assert relerr(kummer_m(mu, g, z), ref) < 2.0**-52
 
+    @pytest.mark.parametrize("f, reference, args", [
+        # the asymptotic route's two terms hold factors e^-1939 and e^-748 and
+        # underflow to a sum of 0, whose weighted estimate was 0; true value
+        # -1.7826940134570327e-08 + 2.274405347787535e-08j
+        (kummer_m, "hyp1f1", (117.74905419710642 - 617.1296678428853j,
+                              236.49810839421284 - 709.841755814065j, -160.24307241270785j)),
+        # the connection's two terms hold factors e^-945 and e^-806 and
+        # underflow to a sum of 0; true value
+        # 1.4174324884862868e-128 + 6.920814575690598e-129j
+        (tricomi_u, "hyperu", (60.607378365726106 + 60.12636034232321j,
+                               12.010209349038291 - 556.078661760271j, 4.826020226140308j)),
+    ], ids=["m-asymptotic", "u-connection"])
+    def test_underflowed_sum_of_zero_certifies_nothing(self, f, reference, args):
+        # each returned 0j as exact; a route whose sum is 0 misses unless every
+        # term's own estimate is 0, so the value is now right or raises
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = complex(getattr(mpmath, reference)(*args))
+        try:
+            got = f(*args)
+        except (AccuracyError, ExponentOverflowError):
+            return
+        assert relerr(got, ref) < specfun.ACCURACY_TARGET
+
+    def test_value_below_the_float_range_raises(self):
+        # U(300, 1.5, 1e5 i) is about 1e-1500: the asymptotic route's power
+        # z^-mu underflows to 0 with a Poincare estimate of 3.3e-18, which no
+        # longer certifies the 0
+        with pytest.raises((AccuracyError, ExponentOverflowError)):
+            tricomi_u(300.0, 1.5, 1e5j)
+
     @pytest.mark.parametrize(
         "a, b, z",
         [(0.7 - 0.3j, 1.25 + 1e-300j, 3.5 - 2.25j),

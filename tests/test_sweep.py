@@ -212,6 +212,16 @@ class TestDelegation:
         ds = run_sweep(small_cfg(base=BAD_START, axes=(AxisSpec("t", 0.25, 1.0, 4),)))
         assert [r[-1] for r in ds.rows] == [3, 3, 3, 3]
 
+    def test_untyped_point_error_is_code_4(self, monkeypatch):
+        # an error of no typed kind flags its row as "other", and the sweep goes on
+        def failing(*args):
+            raise RuntimeError("untyped")
+
+        monkeypatch.setattr(sweep, "energy_decomposition", failing)
+        ds = run_sweep(small_cfg(quantity="spectrum"))
+        assert [r[-1] for r in ds.rows] == [4] * 5
+        assert all(math.isnan(v) for r in ds.rows for v in r[1:-1])
+
     @pytest.mark.parametrize(
         "base, error, code",
         # zero coupling: the detuning integral overflows and exp(i * inf) is NaN
@@ -541,7 +551,7 @@ class TestCli:
         assert json.loads(out.read_text())["rows"] == run_sweep(small_cfg()).rows
 
     @pytest.mark.parametrize("via", ["flag", "config-file"])
-    def test_spectrum_oracle_is_config_error(self, via, tmp_path):
+    def test_spectrum_oracle_is_config_error(self, via, tmp_path, capsys):
         argv = ["--axis1", "Delta:-1:1:3", "--oracle"]
         if via == "config-file":
             d = small_cfg(quantity="spectrum").to_json_dict()
@@ -550,6 +560,47 @@ class TestCli:
             cfgfile.write_text(json.dumps(d))
             argv = ["--config", str(cfgfile)]
         assert cli_main(["spectrum", *argv]) == 2
+        # a well-formed file whose combination is rejected is not "malformed"
+        err = capsys.readouterr().err
+        assert "spectrum has no oracle columns" in err and "malformed" not in err
+
+    @pytest.mark.parametrize(
+        "where, key, value, reads",
+        [(("axes", 0), "samples", "3", "malformed sweep config: need a boolean oracle"),
+         (("axes", 0), "name", "phase", "axis 'phase' not sweepable for populations"),
+         ((), "quantity", "nonsense", "unknown quantity 'nonsense'"),
+         (("base",), "alpha", 0.0, "invalid sweep config: alpha must be nonzero")],
+        ids=["json-type", "unsweepable-axis", "unknown-quantity", "rejected-value"],
+    )
+    def test_config_file_error_names_its_kind(self, where, key, value, reads, tmp_path, capsys):
+        # only a JSON shape or type error reads "malformed"
+        cfgfile = edited_config(tmp_path, where, key, value)
+        assert cli_main(["populations", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert reads in err
+        assert ("malformed" in err) == reads.startswith("malformed")
+
+    def test_config_file_quantity_must_match_subcommand(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_cfg().to_json_dict()))
+        assert cli_main(["amplitudes", "--config", str(cfgfile)]) == 2
+        assert "selects quantity 'populations' but the subcommand is 'amplitudes'" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("axis", ["Delta:-1:1", "Delta:-1:1:3:4", "Delta:a:1:3"])
+    def test_axis_not_name_start_stop_samples_is_usage_error(self, axis, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["populations", "--axis1", axis])
+        assert exc.value.code == 2
+        assert "--axis1" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_one(self, monkeypatch, capsys):
+        def failing(cfg):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "run_sweep", failing)
+        assert cli_main(["populations", "--axis1", "Delta:-1:1:3"]) == 1
+        assert "numerical failure: unexpected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data", [None, b'{"base": ', b"\xff"],
                              ids=["missing", "invalid-json", "not-utf8"])
