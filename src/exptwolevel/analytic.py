@@ -21,12 +21,12 @@ the coupled equations (up to the common gauge factor).  The pair degenerates
 where gamma is an integer: a non-positive gamma or 2 - gamma is a pole of M,
 and `kummer_m` raises `PoleError` there.
 
-The propagator is formed as a Wronskian ratio: the numerator matrix at time t
-against the closed-form determinant at time t0, which is stable where direct
-2x2 inversion of a nearly degenerate basis would not be.  A basis that lost
-its accuracy to cancellation shows in its numeric determinant, which then
-strays from the closed form; past specfun's ACCURACY_TARGET the propagator
-raises, at t0 in its start (which a sweep shares across its t axis) and at t.
+A basis carries its closed-form determinant w12.  One that lost its accuracy
+to cancellation shows in its numeric determinant, which then strays from w12;
+past specfun's ACCURACY_TARGET `basis_solutions` raises.  The propagator is a
+Wronskian ratio, the numerator matrix at time t against w12 at t0, stable where
+2x2 inversion of a nearly degenerate basis would not be; a sweep shares its
+start, the basis at t0, across its t axis.
 
 `AmplitudePair` is the one record of a pair of amplitudes, from the closed
 form or an oracle; the populations the figures plot are its properties.
@@ -84,12 +84,14 @@ class BasisSolutions:
 
     Column 1 is (u2, u1), the Kummer column at mu1; column 2 is (v2, v1), the
     Kummer column at mu2.  The first entry of each is the upper component.
+    ``w12`` is the closed-form determinant u2*v1 - v2*u1 at x.
     """
 
     u1: complex
     v1: complex
     u2: complex
     v2: complex
+    w12: complex
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,21 @@ class PropagatorMatrix:
 
 
 def basis_solutions(d: DerivedParams, x: float) -> BasisSolutions:
-    """Evaluate both fundamental solution columns at x > 0."""
+    """Both fundamental solution columns at x > 0 and their closed-form determinant w12;
+    AccuracyError where the numeric determinant is off w12 past ACCURACY_TARGET (good
+    random-box rows read up to 7.3e-10), DegeneracyError where w12 is 0 or not finite."""
     _require_positive(x)
     if d.c == 0:
         raise DegeneracyError("zero coupling: the system is diagonal, no basis needed")
     u2, u1 = _kummer_column(d, d.mu1, x)
     v2, v1 = _kummer_column(d, d.mu2, x)
-    return BasisSolutions(u1=u1, v1=v1, u2=u2, v2=v2)
+    w12 = transition_parameter_omega12(d, x)
+    if w12 == 0 or not cmath.isfinite(w12):
+        raise DegeneracyError(f"basis determinant vanished at x = {x}")
+    residual = abs((u2 * v1 - v2 * u1) / w12 - 1)
+    if not residual <= ACCURACY_TARGET:  # NaN raises too
+        raise AccuracyError(f"basis residual {residual:.2e} at x = {x}", residual=residual)
+    return BasisSolutions(u1=u1, v1=v1, u2=u2, v2=v2, w12=w12)
 
 
 def _kummer_column(d: DerivedParams, mu: complex, x: float) -> tuple:
@@ -159,22 +169,19 @@ def propagator(p: ModelParams, t0: float, t: float) -> PropagatorMatrix:
 
 
 def _propagator_start(p: ModelParams, t0: float) -> tuple:
-    """What `propagator` needs of t0 alone, built once per sweep over t: (p, t0,
-    d, checked basis at x0, its determinant w12), the last two None at zero coupling."""
+    """What `propagator` needs of t0 alone, once per sweep over t: (p, t0, d, basis at x0)."""
     d = derived_params(p)
-    if d.c == 0:
-        return p, t0, d, None, None
-    return (p, t0, d, *_checked_basis(d, x_of_t(p, t0)))
+    return p, t0, d, (basis_solutions(d, x_of_t(p, t0)) if d.c else None)
 
 
-def _propagator_end(p, t0, d, b0, w12, t: float) -> PropagatorMatrix:
-    """U(t, t0) from a start: the gauge phase times Wronskian-ratio products of checked bases."""
+def _propagator_end(p, t0, d, b0, t: float) -> PropagatorMatrix:
+    """U(t, t0) from a start: the gauge phase times Wronskian-ratio products of bases."""
     # the stripped gauge phase exp(i * integral of the detuning from t0 to t)
     ph = cmath.exp(1j * omega_integral(p, t0, t))
     if b0 is None:
         return PropagatorMatrix(u11=1.0 / ph, u12=0.0, u21=0.0, u22=ph, t=t)
-    bt = _checked_basis(d, x_of_t(p, t))[0]
-    s = ph / w12
+    bt = basis_solutions(d, x_of_t(p, t))
+    s = ph / b0.w12
     return PropagatorMatrix(
         u11=s * (bt.u2 * b0.v1 - bt.v2 * b0.u1),
         u12=s * (bt.v2 * b0.u2 - bt.u2 * b0.v2),
@@ -182,19 +189,6 @@ def _propagator_end(p, t0, d, b0, w12, t: float) -> PropagatorMatrix:
         u22=s * (bt.v1 * b0.u2 - bt.u1 * b0.v2),
         t=t,
     )
-
-
-def _checked_basis(d: DerivedParams, x: float) -> tuple:
-    """(basis, closed-form determinant w12) at x; AccuracyError where the numeric determinant
-    is off w12 past ACCURACY_TARGET (good random-box rows read up to 7.3e-10)."""
-    b = basis_solutions(d, x)
-    w12 = transition_parameter_omega12(d, x)
-    if w12 == 0 or not cmath.isfinite(w12):
-        raise DegeneracyError(f"basis determinant vanished at x = {x}")
-    residual = abs((b.u2 * b.v1 - b.v2 * b.u1) / w12 - 1)
-    if not residual <= ACCURACY_TARGET:  # NaN raises too
-        raise AccuracyError(f"basis residual {residual:.2e} at x = {x}", residual=residual)
-    return b, w12
 
 
 def populations(p: ModelParams, t0: float, t: float) -> AmplitudePair:

@@ -98,6 +98,11 @@ def _selftest() -> int:
         1.2457725722192147 - 0.0493776037293967j,
         1e-13,
     )
+    # Taylor terms that dip and rise again: the sum must not stop in the dip
+    check("kummer M past a dip in its Taylor terms",
+          kummer_m(-207.53901849739245 + 19.71883487292868j,
+                   -416.0780369947849 + 19.729805054211997j, 543.5584009233319j)
+          / (1.8527469635892732e+53 - 2.5442254574680866e+55j), 1.0, 1e-9)
     # integer gamma has no series route: the asymptotic route alone, gated
     check("tricomi U(1,1,30) = e^30*E1(30)", tricomi_u(1.0, 1.0, 30.0),
           0.032289738758980125216, 1e-12)

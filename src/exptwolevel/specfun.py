@@ -2,12 +2,12 @@
 
 One route rule serves M and U (thresholds are the constants below):
 
-* ``|z| <= TAYLOR_RADIUS``: the series route where one exists; beyond it the
-  asymptotic route.  M's series route is the Taylor series (DLMF 13.2.2),
-  summed exactly in fixed point at a precision set by |z| (see
-  ``_kummer_taylor``); U's is the two-M connection formula, which U lacks for
-  gamma within INTEGER_BAND of an integer (as complex distance), where the
-  connection's Gamma poles cancel.  The asymptotic route is the large-|z|
+* ``|z| <= TAYLOR_RADIUS``: the series route where one exists; beyond it the asymptotic
+  route.  M's series route is the Taylor series (DLMF 13.2.2), summed exactly in fixed
+  point at a precision set by |z| until no later term can be larger (``_kummer_taylor``);
+  U's is the two-M connection formula, which U lacks for gamma within INTEGER_BAND of an
+  integer (as complex distance), where the connection's Gamma poles cancel, and whose
+  estimate counts a term lost to underflow.  The asymptotic route is the large-|z|
   Poincare series truncated at the smallest term.
 * A route misses where its estimate is off ACCURACY_TARGET (a NaN estimate
   too) or where it raises: ``AccuracyError`` for a Taylor sum whose terms
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
 
 from .errors import AccuracyError, DomainError, ExponentOverflowError, PoleError
 
@@ -117,13 +118,13 @@ def _kummer_taylor(a, b, z):
     step.  The sum cancels by up to ~e^|z| (log2 e = 1.443), and by at most
     2^(1024 + 1074) if it returns (terms below the float range, a sum above
     its least value), so bits = 120 + min(1.45|z| + 8 log2(1 + |a| + |b|), 2098)
-    leaves 120 bits spare.  The sum stops at an exactly zero term (a
-    terminating series) or at |term| <= 2^-66 |sum|, both as |re| + |im|, and
-    rounds once.  Its estimate n max|t_k| 2^-bits / |sum| is the rounding of n
-    steps carried up to the largest term, to first order for terms that rise
-    from t_0 = 1 and then fall.  Past |a| + 2|b| + 8|z| terms they at least
-    halve each step, so a sum not done bits + 1100 terms later, or whose terms
-    leave the float range, raises ``AccuracyError``.
+    leaves 120 bits spare.  The sum stops where no later term is larger: at a zero term, or
+    at |term| <= 2^-66 |sum| (both as |re| + |im|) where k > -Re b and the bound |z| (1 +
+    |a - b| / |b + k|) / (k + 1) on |t_{k+1} / t_k| is at most 1, as past -Re b it falls
+    with k.  It rounds once.  Its estimate n max|t_k| 2^-bits / |sum| is the rounding of n steps
+    carried up to the largest term, to first order.  Past |a| + 2|b| + 8|z| terms they
+    at least halve each step, so a sum not done bits + 1100 terms later, or whose
+    terms leave the float range, raises ``AccuracyError``.
 
     A step multiplies by z (a + k) conj(b + k) / (|b + k|^2 (k + 1)).  With z,
     a and b each an integer over a power of two dz, da, db, that is an integer
@@ -150,7 +151,8 @@ def _kummer_taylor(a, b, z):
         si += ti
         mag, total = abs(tr) + abs(ti), abs(sr) + abs(si)
         peak = mag if mag > peak else peak
-        if mag << 66 <= total:
+        if not mag or mag << 66 <= total and k > -b.real and (
+                abs(z) * (abs(b + k) + abs(a - b)) <= abs(b + k) * (k + 1)):
             # (k + 1) terms; 1.0 once max|t_k| 2^-bits reaches |sum|, where no digit is sure
             err = (k + 1) * peak / (total << bits) if peak >> bits < total else 1.0
             try:
@@ -263,31 +265,41 @@ def kummer_m(mu, gamma, z) -> complex:
 
 
 def _tricomi_connection(mu, gamma, z):
-    """Two-M connection value of U plus a roundoff estimate from the
-    cancellation between the two terms.
+    """Two-M connection value of U plus a roundoff estimate from the cancellation of its terms.
 
     Each term's relative error counts M's own estimate, 3e-16 for the power
     and the products, and for each Gamma factor exp(+-log Gamma(w)) the
     rounding of log Gamma's value, 2^-53 |log Gamma(w)| (large near a pole),
-    and of a computed argument w, 2^-53 |w| amplified by |psi(w)| ~
-    1 / dist(w, poles).
+    and of a computed argument w, 2^-53 |w| amplified by |psi(w)| ~ 1 / dist(w,
+    poles).  A term that underflowed to a subnormal or 0 counts its true modulus.
     """
-    t1, e1 = 0.0 + 0.0j, 0.0
+    t1, e1, lost = 0.0 + 0.0j, 0.0, 0.0
     if not _nonpositive_int(mu - gamma + 1.0):
         w, v = 1.0 - gamma, mu - gamma + 1.0
         lw, lv = ln_gamma_complex(w), ln_gamma_complex(v)
         m, em = _kummer(mu, gamma, z)
         t1 = _safe_exp(lw) * _safe_exp(-lv) * m
         e1 = _gamma_error(w, lw) + _gamma_error(v, lv) + em
+        lost = _underflow_loss(m, lw, -lv)
     t2, e2 = 0.0 + 0.0j, 0.0
     if not _nonpositive_int(mu):
-        w = gamma - 1.0
+        w, lz = gamma - 1.0, (1.0 - gamma) * cmath.log(z)
         lw, lm = ln_gamma_complex(w), ln_gamma_complex(mu)
         m, em = _kummer(mu - gamma + 1.0, 2.0 - gamma, z)
-        t2 = _safe_exp(lw) * _safe_exp(-lm) * _safe_exp((1.0 - gamma) * cmath.log(z)) * m
+        t2 = _safe_exp(lw) * _safe_exp(-lm) * _safe_exp(lz) * m
         e2 = _gamma_error(w, lw) + 2.0**-53 * abs(lm) + em  # mu is not rounded here
-    out = t1 + t2
-    return out, _relative(abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2) if out else math.inf, out)
+        lost += _underflow_loss(m, lw, -lm, lz)
+    out, err = t1 + t2, abs(t1) * (3e-16 + e1) + abs(t2) * (3e-16 + e2) + lost
+    return out, _relative(err if out else math.inf, out)
+
+
+def _underflow_loss(m: complex, *exponents: complex) -> float:
+    """|e^l1 e^l2 ... m|, held to [e^-708, e^709], where a factor or a partial product, left to
+    right, falls below the normal floats (log-modulus -708); else 0.  No exp is taken below
+    -708: one that underflows leaves errno set, and a later abs() of a NaN then raises."""
+    parts = [w.real for w in exponents] + [math.log(abs(m)) if m else 0.0]
+    low = min(*parts, *accumulate(parts))
+    return math.exp(min(max(sum(parts), -708.0), 709.0)) if m and low < -708.0 else 0.0
 
 
 def _gamma_error(w: complex, ln_gamma: complex) -> float:

@@ -51,6 +51,15 @@ class TestBasis:
             det = b.u2 * b.v1 - b.v2 * b.u1
             w = transition_parameter_omega12(d, x)
             assert abs(det - w) / abs(w) < 1e-12
+            assert b.w12 == w
+
+    @pytest.mark.parametrize("t", [0.0, 5.0])
+    def test_residual_past_the_target_raises(self, t):
+        # the first slow-sweep row: each M is correctly rounded, yet the numeric
+        # determinant is off the closed form by 7.5e-9 at x(0) and 9.7e-9 at x(5)
+        q = SLOW_ROWS[0]
+        with pytest.raises(AccuracyError, match="basis residual"):
+            basis_solutions(derived_params(q), x_of_t(q, t))
 
     def test_zero_coupling_rejected(self):
         q = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.0, Delta=0.0, t0=0.0, t1=1.0)
@@ -257,8 +266,8 @@ class TestPopulations:
 # slow-sweep rows once returned silently wrong, each over [0, t1]: two off the
 # oracle by 4.31e-6 and 2.66e-6 with every M correctly rounded; row A by 10.9,
 # from an M whose two asymptotic terms underflowed to a sum of 0; row B by
-# 3.34e-6; and row C by 3.8e6, from an M at t off by 1.7e6, though its basis
-# at t0 is good (residual 5.7e-14): only the basis check at t sees it
+# 3.34e-6; and row C by 3.8e6, from an M at t off by 1.7e6, a Taylor sum that
+# stopped in a dip of its terms (its basis at t0 is good, residual 5.7e-14)
 SLOW_ROWS = [
     ModelParams(1.7445002644567762, 0.009439590200997428, 0.7731392888267123,
                 -0.9025709098665589, 1.3607312619180174, 0.0, 5.0),
@@ -302,6 +311,15 @@ class TestSlowSweep:
         # at t0 and by 9.7e-9 to 2.5e-8 at t, and the propagator raises
         with pytest.raises(AccuracyError, match="basis residual"):
             propagator(q, 0.0, q.t1)
+
+    def test_taylor_sum_past_a_dip_returns(self):
+        # row C: once the sum at t runs past the dip, the basis there passes its
+        # check (it read a residual of 2.1e6) and the propagator returns
+        q = SLOW_ROWS[4]
+        u = propagator(q, 0.0, q.t1).as_array()
+        # row j of the batch is column j of the propagator
+        ref = integrate_tdse_batch([q, q], [(1.0, 0.0), (0.0, 1.0)], 0.0, q.t1, TIGHT).T
+        assert np.max(np.abs(u - ref)) < 1e-6
 
     def test_asymptotic_estimate_has_no_floor(self):
         # one M here has both asymptotic terms below 1e-300; a 1e-300 floor

@@ -72,6 +72,11 @@ REFERENCE_U = [
     ),
 ]
 
+# M's Taylor terms here rise to 1e79 near k = 100, dip to 1e43 near k = 300 and
+# peak at 1e253 near k = 822; value from 50-digit evaluation
+DIP_M = (-207.53901849739245 + 19.71883487292868j, -416.0780369947849 + 19.729805054211997j,
+         543.5584009233319j, 1.8527469635892732e+53 - 2.5442254574680866e+55j)
+
 # gamma within INTEGER_BAND of an integer: U has no series route there, and the
 # asymptotic route alone either meets ACCURACY_TARGET or raises AccuracyError.
 # Values from 60-digit evaluation; a raising point keeps its value as a comment.
@@ -113,6 +118,12 @@ class TestReferenceValues:
         # the fixed-point Taylor sum rounds once, so no reflection is needed
         mu, g, z, expect = REFERENCE_M[4]
         assert kummer_m(mu, g, z) == expect
+
+    def test_kummer_past_a_dip_correctly_rounded(self):
+        # a Taylor sum that stopped in the dip, before its terms stop rising,
+        # returned a value off by 1.7e6 with an estimate of 2.1e-271
+        mu, g, z, expect = DIP_M
+        assert relerr(kummer_m(mu, g, z), expect) < 2.0**-52
 
     @pytest.mark.parametrize(
         "mu,g,z,expect", INTEGER_GAMMA_U,
@@ -382,6 +393,30 @@ class TestMpmathReference:
             checked += 1
         assert checked >= 0.9 * len(points) > 0
 
+    def test_kummer_m_large_negative_parameters(self):
+        # Re mu in [-300, 0], Re gamma = 2 Re mu + [-5, 5], Im of each in [-30, 30]
+        # and z = +-i [0, 600], where the Taylor terms can fall and rise again: a
+        # sum that stopped at the first small term returned 14 of these 150 values
+        # off by up to 4.2 with tiny estimates.  A returned M meets the target
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(32)
+        n = 150
+        re_mu = rng.uniform(-300.0, 0.0, n)
+        mu = re_mu + 1j * rng.uniform(-30.0, 30.0, n)
+        g = 2.0 * re_mu + rng.uniform(-5.0, 5.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
+        z = 1j * rng.choice((-1.0, 1.0), n) * rng.uniform(0.0, 600.0, n)
+        checked = 0
+        for args in zip(map(complex, mu), map(complex, g), map(complex, z)):
+            try:
+                got = kummer_m(*args)
+            except (AccuracyError, ExponentOverflowError):
+                continue
+            with mpmath.workdps(50):
+                ref = mpmath.hyp1f1(*args)
+                assert abs(got - ref) < specfun.ACCURACY_TARGET * abs(ref), args
+            checked += 1
+        assert checked >= 0.9 * n
+
     def test_kummer_m_without_an_estimate_floor(self):
         # both asymptotic terms are below 1e-300 (t1 underflows to 0); a floor of
         # 1e-300 under their sum shrank the estimate to 3e-10, and M returned
@@ -415,6 +450,49 @@ class TestMpmathReference:
         except (AccuracyError, ExponentOverflowError):
             return
         assert relerr(got, ref) < specfun.ACCURACY_TARGET
+
+    @pytest.mark.parametrize("args, value", [
+        # e^-691.9 e^-215.7 underflows to 0 before e^603.1 multiplies it, and U
+        # came back off by 100% with an estimate of 8.6e-13
+        ((191.93861561992094 + 655.3515523109795j, -30.32941820934286 - 323.8798637569868j,
+          -20.311394600876916j), 4.535402538264772e-137 - 6.044188090637831e-137j),
+        # a factor e^-755 underflows, the two true terms cancel, and U came back
+        # with modulus 1.7e-86, off by 1.4e76, with an estimate of 3e-13
+        ((118.61074979985801 - 391.0833685031511j, -118.6623632231613 + 60.280624278945425j,
+          23.29577840497975j), -4.2128859718781325e-163 - 1.1420050853012223e-162j),
+    ], ids=["partial-product", "factor"])
+    def test_connection_term_lost_to_underflow(self, args, value):
+        # the lost term's true modulus now counts in the connection's estimate,
+        # so U raises or meets the target; values from 50-digit evaluation
+        try:
+            got = tricomi_u(*args)
+        except (AccuracyError, ExponentOverflowError):
+            return
+        assert relerr(got, value) < specfun.ACCURACY_TARGET
+
+    @pytest.mark.parametrize("seed", [32, 33])
+    def test_tricomi_u_large_parameters(self, seed):
+        # Re of mu and gamma in [-300, 300], Im in [-700, 700], z = i [-35, 35]:
+        # each draw of 200 returned one U off the target, by 3.9e47 and, at a
+        # subnormal 9.9e-322, by 5e-3, where a connection term underflowed.  A
+        # returned U meets the target
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        n = 200
+        mu, g = (rng.uniform(-300.0, 300.0, n) + 1j * rng.uniform(-700.0, 700.0, n) for _ in "mg")
+        z = 1j * rng.uniform(-35.0, 35.0, n)
+        checked = 0
+        for args in zip(map(complex, mu), map(complex, g), map(complex, z)):
+            try:
+                got = tricomi_u(*args)
+            except (AccuracyError, ExponentOverflowError):
+                continue
+            with mpmath.workdps(50):
+                ref = mpmath.hyperu(*args)
+                # at 50 digits and with no floor: one wrong value is subnormal
+                assert abs(got - ref) < specfun.ACCURACY_TARGET * abs(ref), args
+            checked += 1
+        assert checked > 0
 
     def test_value_below_the_float_range_raises(self):
         # U(300, 1.5, 1e5 i) is about 1e-1500: the asymptotic route's power
