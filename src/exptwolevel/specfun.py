@@ -345,25 +345,16 @@ def tricomi_u_derivative(mu, gamma, z) -> complex:
 def wronskian_residual(mu, gamma, z) -> float:
     """Relative deviation of M U' - U M' from -Gamma(gamma)/Gamma(mu) z^-gamma e^z.
 
-    The minus sign is the convention this implementation's M and U satisfy
-    (fixed empirically once; the bare identity is sometimes quoted unsigned).
+    The minus sign is this implementation's convention (the identity is sometimes quoted
+    unsigned).  M U' - U M' is formed in complex double: the cancellation that amplifies
+    its rounding amplifies that of M, M', U and U', each already rounded to double.
     """
-    from fractions import Fraction  # here, off the closed form's import path
     mu, gamma, z = _finite(mu, gamma, z)
     if _nonpositive_int(mu):
         raise PoleError(f"Wronskian prefactor Gamma(mu) pole at mu = {mu}")
     m, dm = kummer_m(mu, gamma, z), kummer_m_derivative(mu, gamma, z)
     u, du = tricomi_u(mu, gamma, z), tricomi_u_derivative(mu, gamma, z)
-    # the products M*U' and U*M' exceed W by ~e^{pi |Im gamma|} on the
-    # imaginary axis; form the difference exactly so the residual reflects
-    # the function values, not the combination's own cancellation
-    (mr, mi), (dur, dui), (ur, ui), (dmr, dmi) = (
-        (Fraction(w.real), Fraction(w.imag)) for w in (m, du, u, dm)
-    )
-    w_num = complex(
-        float(mr * dur - mi * dui - (ur * dmr - ui * dmi)),
-        float(mr * dui + mi * dur - (ur * dmi + ui * dmr)),
-    )
+    w_num = m * du - u * dm
     w_closed = -cmath.exp(
         ln_gamma_complex(gamma) - ln_gamma_complex(mu) - gamma * cmath.log(z) + z
     )

@@ -291,11 +291,12 @@ class TestTableau:
         assert out.stdout.split() == ["[]"]
 
     def test_closed_form_loads_no_fractions_or_json(self):
-        # Fraction serves wronskian_residual and json serves emit; neither is on
-        # the path of import and a first closed-form call
+        # json serves emit, off the path of import and a first closed-form call;
+        # the package uses no fractions, not even for the Wronskian check
         src = str(Path(exptwolevel.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import exptwolevel as xt; "
                 "xt.populations(xt.ModelParams(2.0, 1.0, 0.0, 0.2, 0.5, 0.0, 5.0), 0.0, 5.0); "
+                "xt.specfun.wronskian_residual(0.6 + 0.3j, 1.4, 1.0 - 0.7j); "
                 "print(sorted(m for m in ('fractions', 'json') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=60, check=True)

@@ -28,7 +28,7 @@ from exptwolevel.sweep import SweepConfig, _figure_config, run_sweep
 
 
 def relerr(a, b):
-    return abs(a - b) / max(abs(b), 1e-300)
+    return abs(a - b) / abs(b) if b else (0.0 if a == b else math.inf)
 
 
 # Reference values frozen from 50-digit arbitrary-precision evaluation.
