@@ -95,6 +95,8 @@ def constant_h_propagator(H, dt: float):
     import numpy as np
     (h00, h01), (h10, h11) = np.asarray(H, dtype=complex).tolist()
     cosw, sinc = _rotation(h00, h01, h10, dt)
+    if h00 + h11 != 0:  # the rho-formula holds only for H^2 = rho^2 * 1
+        raise DomainError(f"H must be traceless, got trace {h00 + h11}")
     return np.array([[cosw - 1j * sinc * h00, -1j * sinc * h01],
                      [-1j * sinc * h10, cosw - 1j * sinc * h11]])
 
@@ -116,7 +118,10 @@ def rabi_limit_convergence(p: ModelParams, t_probe: float) -> float:
     import numpy as np
     from .oracle import integrate_tdse_batch
 
-    mag = abs(p.A) * math.exp(p.alpha * t_probe + p.beta)
+    w = p.alpha * t_probe + p.beta
+    if w > ExponentOverflowError.LIMIT:  # far below -LIMIT, exp(w) = 0 is the limit itself
+        raise ExponentOverflowError(w)
+    mag = abs(p.A) * math.exp(w)
     if p.epsilon == 0 or not mag < RABI_LIMIT_THRESHOLD * abs(p.epsilon):  # NaN t_probe too
         raise DomainError(
             f"exponential term magnitude {mag:.3e} is not below "

@@ -20,9 +20,10 @@ are such sweeps (see `sweep`).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ExponentOverflowError
 from .model import ModelParams, detuning
 
 
@@ -39,6 +40,8 @@ def eigenvalues_direct(p: ModelParams, t: float) -> tuple[complex, complex]:
     om_bar = 2.0 * detuning(p, t)
     z = complex(om_bar * om_bar + (p.epsilon * p.epsilon - p.Delta * p.Delta),
                 2.0 * p.epsilon * p.Delta)
+    if not cmath.isfinite(z):  # a square overflowed, as Omega_bar^2 does past alpha t ~ 354 at A = 2
+        raise ExponentOverflowError(2.0 * math.log(max(abs(om_bar), abs(p.epsilon), abs(p.Delta))))
     r = 0.5 * cmath.sqrt(z)
     return r, -r
 

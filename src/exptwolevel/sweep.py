@@ -7,17 +7,17 @@ with a full provenance header.
 
 Every quantity is one entry of a table: the axes it may sweep, its value
 columns, and the function that evaluates one grid point.  Points run
-serially in grid order, each made once into its parameter record.  For
-populations and amplitudes the oracle runs once per sweep, as one batch over
-every point sampled at each point's end time, and the rows reuse its
-records, so datasets are bitwise reproducible; the closed form builds the t0
-basis once per parameter set, which a t axis shares.  Each row reads its
-columns off the values the routes return: a populations or amplitudes row
-off the `AmplitudePair` of each route, a spectrum row off the parts of the
-two eigenvalues, and a rabi row off the real part and modulus of the complex
-closed form and the oracle's `AmplitudePair`.  The 2-D energy maps of the
-paper are `spectrum` sweeps and its Rabi interferogram is an `interferogram`
-sweep over (t, epsilon).
+serially in grid order, each made into its parameter record by its row and,
+in an oracle sweep of populations or amplitudes, once more for the oracle,
+which runs once per sweep as one batch over every point sampled at each
+point's end time.  Datasets are bitwise reproducible; the closed form builds
+the t0 basis once per parameter set, which a t axis shares.  Each row reads
+its columns off the values the routes return: a populations or amplitudes
+row off the `AmplitudePair` of each route, a spectrum row off the parts of
+the two eigenvalues, and a rabi row off the real part and modulus of the
+complex closed form and the oracle's `AmplitudePair`.  The 2-D energy maps
+of the paper are `spectrum` sweeps and its Rabi interferogram is an
+`interferogram` sweep over (t, epsilon).
 
 Per-point numerical failures do not abort the sweep: the row is emitted with
 NaN values and a nonzero error code (1 = domain, 2 = degenerate basis,
@@ -137,30 +137,15 @@ def _point_params(cfg: SweepConfig, quantity: _Quantity, pt: dict):
     return q, t
 
 
-def _oracle_points(cfg: SweepConfig, quantity: _Quantity, pts: list) -> list:
-    """(record, final) for each grid point: the final is the oracle's
-    AmplitudePair or the error that flags the row, the DomainError of an
-    invalid point (whose record is None) or the AccuracyError of its run.
+def _batch_finals(cfg: SweepConfig, batch: list, finals: dict) -> None:
+    """Fill finals[i] for each (i, params, end time) of batch from one run,
+    with the oracle's AmplitudePair or the AccuracyError that flags the row.
 
-    Every valid point goes into one batch over the common window, sampled at
-    each distinct end time, so a t-axis sweep costs one batched run too.
-    """
-    records, finals = [None] * len(pts), [None] * len(pts)
-    for i, pt in enumerate(pts):
-        try:
-            records[i] = _point_params(cfg, quantity, pt)
-        except DomainError as exc:
-            finals[i] = exc
-    _batch_finals(cfg, [(i, *rec) for i, rec in enumerate(records) if rec is not None], finals)
-    return list(zip(records, finals))
-
-
-def _batch_finals(cfg: SweepConfig, batch: list, finals: list) -> None:
-    """Fill finals[i] for each (i, params, end time) of batch from one run.
-
-    The phase check tests each point over the whole window: a rejected point
-    is flagged if its end time closes the window, else rerun over its own,
-    and the rest run again as one batch.  A failure once stepping has started
+    Every point goes into one batch over the common window, sampled at each
+    distinct end time, so a t-axis sweep costs one batched run too.  The
+    phase check tests each point over the whole window: a rejected point is
+    flagged if its end time closes the window, else rerun over its own, and
+    the rest run again as one batch.  A failure once stepping has started
     spoils the shared step, so each point is then rerun alone.
     """
     if not batch:
@@ -289,11 +274,16 @@ def run_sweep(cfg: SweepConfig) -> Dataset:
     names = [ax.name for ax in cfg.axes]
     values = list(quantity.columns) + list(quantity.oracle_columns if cfg.oracle else ())
     pts = [dict(zip(names, v)) for v in itertools.product(*(ax.values() for ax in cfg.axes))]
-    batch = _oracle_points(cfg, quantity, pts) if cfg.oracle and quantity.propagates else None
+    batch, finals = [], {}  # the oracle's batch and its finals: see _batch_finals
+    if cfg.oracle and quantity.propagates:
+        for i, pt in enumerate(pts):
+            with contextlib.suppress(DomainError):  # the row flags an invalid point
+                batch.append((i, *_point_params(cfg, quantity, pt)))
+    _batch_finals(cfg, batch, finals)
     point, n, rows, starts = quantity.point, len(values), [], {}  # starts: see _propagate
     for i, pt in enumerate(pts):
         try:
-            rec, final = batch[i] if batch else (_point_params(cfg, quantity, pt), None)
+            rec, final = _point_params(cfg, quantity, pt), finals.get(i)
             if isinstance(final, Exception):
                 raise final
             # concatenation sizes each row exactly, where unpacking would over-allocate

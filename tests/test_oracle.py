@@ -430,6 +430,11 @@ class TestConstantPropagator:
         with pytest.raises(DomainError):
             constant_h_propagator(h, dt)
 
+    def test_non_traceless_rejected(self):
+        # the rho-formula assumes H^2 = rho^2 * 1; this H would be off expm by 0.46
+        with pytest.raises(DomainError, match="traceless"):
+            constant_h_propagator(np.array([[1.0, 0.3], [0.3, 0.0]]), 1.0)
+
     def test_overflow_is_typed(self):
         # |Im w| = 2500: cos w and sin w overflow, and the error names the exponent
         h = np.array([[0.0, 2.5j], [2.5j, 0.0]])

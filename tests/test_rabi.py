@@ -162,6 +162,18 @@ class TestConvergence:
             rabi_limit_convergence(p, 0.0)  # alpha t + beta = 0, magnitude 1
         assert "magnitude" in str(exc.value)
 
+    def test_overflowing_probe_is_typed(self):
+        # alpha t + beta = 800: exp overflows, and the error names the exponent
+        p = ModelParams(A=1.0, alpha=1.0, beta=0.0, epsilon=1.0, Delta=0.3, t0=-5.0, t1=20.0)
+        with pytest.raises(ExponentOverflowError) as info:
+            rabi_limit_convergence(p, 800.0)
+        assert info.value.exponent == 800.0
+
+    def test_underflowing_probe_is_the_limit(self):
+        # alpha t + beta = -800: exp(-800) = 0, the frozen limit itself
+        p = ModelParams(A=1.0, alpha=-1.0, beta=0.0, epsilon=1.0, Delta=0.3, t0=-5.0, t1=20.0)
+        assert rabi_limit_convergence(p, 800.0) < 1e-10
+
     def test_linear_scaling_two_decades(self):
         p = ModelParams(A=1.0, alpha=1.0, beta=0.0, epsilon=1.0, Delta=0.3, t0=-40.0, t1=0.0)
         mags, devs = [], []

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from exptwolevel.errors import ConfigError, DomainError
+from exptwolevel.errors import ConfigError, DomainError, ExponentOverflowError
 from exptwolevel.model import AxisSpec, ModelParams, coupling, detuning
 from exptwolevel.spectrum import (
     eigenvalues_closed_form,
@@ -111,6 +111,14 @@ class TestDecomposition:
         d = energy_decomposition(q, 0.0)
         assert abs(abs(d.phi) - math.pi / 4) < 1e-12
 
+    def test_overflowed_square_is_typed(self):
+        # Omega_bar = 2 Omega(360) ~ 4.4e156 squares past the float range: an
+        # error naming 2 ln|Omega_bar|, not E = inf + nan i
+        q = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.5, t0=0.0, t1=5.0)
+        with pytest.raises(ExponentOverflowError) as info:
+            energy_decomposition(q, 360.0)
+        assert info.value.exponent == pytest.approx(2.0 * math.log(2.0 * detuning(q, 360.0)))
+
 
 def spectrum_rows(axis1, axis2) -> list:
     """Rows of a spectrum sweep over the base P, each as {column: value}."""
@@ -149,6 +157,15 @@ class TestMap:
             assert r["error"] == 0
             e_plus = complex(r["re_e_plus"], r["im_e_plus"])
             assert abs(2.0 * e_plus - r["z_mag"] * cmath.exp(1j * r["phi"])) < 1e-12
+
+    def test_overflowed_rows_flagged(self):
+        # at the CLI's default base the square of Omega_bar overflows past
+        # alpha t + beta ~ 354: t = 350 stays finite, t = 525 and 700 are code 3
+        base = ModelParams(A=2.0, alpha=1.0, beta=0.0, epsilon=0.2, Delta=0.5, t0=0.0, t1=5.0)
+        ds = run_sweep(SweepConfig(base, (AxisSpec("t", 350.0, 700.0, 3),), "spectrum"))
+        assert [row[-1] for row in ds.rows] == [0, 3, 3]
+        assert all(math.isfinite(v) for v in ds.rows[0])
+        assert all(math.isnan(v) for row in ds.rows[1:] for v in row[1:-1])
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError):
